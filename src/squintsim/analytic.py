@@ -46,6 +46,10 @@ class ArrayConfig:
     spacing_ratio: float = 0.5
 
     def __post_init__(self):
+        if not all(
+            math.isfinite(v) for v in (self.n_elements, self.steer_angle, self.spacing_ratio)
+        ):
+            raise ValueError("array parameters must be finite")
         if self.n_elements < 1:
             raise ValueError("n_elements must be >= 1")
         if not 0.0 < self.spacing_ratio <= 1.0:

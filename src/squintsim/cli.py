@@ -38,18 +38,9 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_FLAG_KEYS = {
-    "n": "n",
-    "theta_deg": "theta_deg",
-    "bw": "bw",
-    "snr_db": "snr_db",
-    "carriers": "carriers",
-    "cp_num": "cp_num",
-    "combiner": "combiner",
-    "seed": "seed",
-    "out": "out",
-    "format": "format",
-}
+# argparse destinations that are not config keys; every other flag's
+# destination is the config key it sets
+_NON_CONFIG_ARGS = ("command", "config")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,11 +72,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _resolve_config(args) -> ExperimentConfig:
     raw = parse_config_file(args.config) if args.config else {}
-    for attr, key in _FLAG_KEYS.items():
-        value = getattr(args, attr, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in _NON_CONFIG_ARGS and value is not None:
             raw[key] = value if isinstance(value, str) else str(value)
     return ExperimentConfig(raw)
+
+
+def _json_text(payload: dict) -> str:
+    # allow_nan=False: a report never carries NaN or Infinity, which are not JSON
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +108,7 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             "coherent bandwidth and null positions are unbounded"
         )
     payload = {"config": cfg.echo(), "version": __version__, "analytic": _report_dict(report)}
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     print(text)
     out = cfg["out"]
     if out != "report":
@@ -147,8 +142,7 @@ def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
     }
     path = f"{out}.json"
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(_json_text(payload) + "\n")
     written.append(path)
     if report.per_tone is not None:
         path = f"{out}_tones.csv"
@@ -257,14 +251,9 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     out = cfg["out"]
     if cfg["format"] == "json":
         path = f"{out}.json"
+        text = _json_text({"config": cfg.echo(), "version": __version__, "cells": rows})
         with open(path, "w") as fh:
-            json.dump(
-                {"config": cfg.echo(), "version": __version__, "cells": rows},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         path = f"{out}.csv"
         with open(path, "w", newline="") as fh:

@@ -8,6 +8,14 @@ form first sums contiguous sub-arrays of ``n_sub`` elements and serves
 contiguous groups of ``m_group`` tones per output, trading a bounded EVM
 ripple for an IDFT matrix shrunk to M_r x N_r.
 
+All three are one kernel: the phase-shifter sum is the reduced IDFT at
+sizing (N, M) and the full IDFT is sizing (1, 1), which
+:meth:`CombinerSpec.resolve_sizing` returns. The OFDM chain applies that
+kernel in the tone domain (:func:`combine_branch_grids`) to the demodulated
+branch streams; the DFT is linear, so this equals the time-domain
+combiners below (:func:`phase_sum`, :func:`full_idft_combine`,
+:func:`reduced_idft_combine`), which stay as the reference.
+
 Weight generation and per-output combining are independent per output row;
 combining uses fixed-order numpy reductions so parallel callers reproduce
 sequential results exactly.
@@ -64,7 +72,13 @@ class CombinerSpec:
         return cls(REDUCED_IDFT, n_sub=n_sub, m_group=m_group)
 
     def resolve_sizing(self, cfg: ArrayConfig, ofdm: OfdmSpec, bw_sig: float) -> tuple[int, int]:
-        """Concrete (n_sub, m_group), applying auto sizing where needed."""
+        """Concrete (n_sub, m_group) of the reduced-IDFT kernel this combiner
+        is: (N, M) for the phase-shifter sum, (1, 1) for the full IDFT, and
+        for the reduced IDFT its own sizing with auto sizing where unset."""
+        if self.kind == PHASE_SUM:
+            return cfg.n_elements, ofdm.m_carriers
+        if self.kind == FULL_IDFT:
+            return 1, 1
         n_sub, m_group = self.n_sub, self.m_group
         if n_sub is None or m_group is None:
             auto = reduced_sizing(cfg, ofdm.m_carriers, bw_sig)
@@ -77,15 +91,14 @@ class CombinerSpec:
 class IdftWeights:
     """Unit-modulus combining weights, one row per output stream.
 
-    ``matrix[r, n]`` weights element (or sub-array) n for output r;
-    ``tone_offsets[r]`` is the centre-tone offset the row corrects for.
+    ``matrix[r, n]`` weights element (or sub-array) n for output r.
     """
 
     matrix: np.ndarray
-    tone_offsets: np.ndarray
 
     def __post_init__(self):
-        assert np.allclose(np.abs(self.matrix), 1.0, atol=1e-12)
+        if not np.allclose(np.abs(self.matrix), 1.0, atol=1e-12):
+            raise ValueError("combining weights must have unit modulus")
 
 
 def _tone_phase_step(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec) -> float:
@@ -99,7 +112,7 @@ def full_idft_weights(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec) -> Idf
     offsets = np.arange(ofdm.m_carriers) - ofdm.center_tone
     n = np.arange(cfg.n_elements)
     matrix = np.exp(2j * np.pi * step * np.outer(offsets, n))
-    return IdftWeights(matrix, offsets.astype(float))
+    return IdftWeights(matrix)
 
 
 def reduced_idft_weights(
@@ -117,7 +130,7 @@ def reduced_idft_weights(
     centers = np.arange(m_r) * m_group + (m_group - 1) / 2.0 - ofdm.center_tone
     strides = np.arange(n_r) * n_sub
     matrix = np.exp(2j * np.pi * step * np.outer(centers, strides))
-    return IdftWeights(matrix, centers)
+    return IdftWeights(matrix)
 
 
 def _check_divisible(cfg: ArrayConfig, ofdm: OfdmSpec, n_sub: int, m_group: int):
@@ -172,6 +185,24 @@ def reduced_idft_combine(
         [ComplexSignal(row, sample_rate=streams.sample_rate) for row in out],
         groups,
     )
+
+
+def combine_branch_grids(
+    branch_grids: np.ndarray, weights: IdftWeights, n_elements: int
+) -> np.ndarray:
+    """The reduced combiner applied in the tone domain.
+
+    ``branch_grids`` holds the demodulated grid of each sub-array branch,
+    shape (N_r, symbols, M); ``weights`` is the M_r x N_r matrix of
+    :func:`reduced_idft_weights`, row g serving the g-th contiguous group
+    of M / M_r tones. Returns the combined (symbols, M) grid, normalized by
+    the element count like the time-domain combiners.
+    """
+    n_r, n_sym, m = branch_grids.shape
+    m_r = weights.matrix.shape[0]
+    groups = branch_grids.reshape(n_r, n_sym, m_r, m // m_r)
+    out = np.einsum("gr,rjgk->jgk", weights.matrix, groups)
+    return out.reshape(n_sym, m) / n_elements
 
 
 def write_weights_csv(weights: IdftWeights, path) -> None:

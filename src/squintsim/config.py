@@ -50,6 +50,13 @@ _SCHEMA: dict[str, tuple] = {
 _OUTPUT_KEYS = frozenset({"out", "format"})
 
 
+def _finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("must be finite")
+    return value
+
+
 def _parse_value(key: str, raw, kind):
     if not isinstance(raw, str):
         return raw
@@ -58,11 +65,14 @@ def _parse_value(key: str, raw, kind):
         if kind is int:
             return int(raw)
         if kind is float:
-            return float(raw)
+            return _finite_float(raw)
         if kind is str:
             return raw
         if kind == "snr":
-            return math.inf if raw.lower() in ("inf", "+inf", "infinity") else float(raw)
+            value = float(raw)
+            if math.isnan(value) or value == -math.inf:
+                raise ValueError("must be finite or 'inf'")
+            return value
         if kind == "combiner":
             if raw not in _COMBINER_NAMES:
                 raise ValueError(f"must be one of {sorted(_COMBINER_NAMES)}")
@@ -74,7 +84,7 @@ def _parse_value(key: str, raw, kind):
         if kind == "int_list":
             return [int(v) for v in raw.split(",") if v.strip()]
         if kind == "float_list":
-            return [float(v) for v in raw.split(",") if v.strip()]
+            return [_finite_float(v) for v in raw.split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid value for '{key}': {raw!r} ({exc})") from None
     raise ConfigError(f"unhandled kind for '{key}'")

@@ -9,6 +9,7 @@ touch global RNG state, so concurrent callers only need distinct seeds
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +48,10 @@ class SignalSpec:
     seed: int = 0
 
     def __post_init__(self):
+        numeric = (self.fractional_bandwidth, self.n_symbols, self.rrc_rolloff,
+                   self.rrc_span, self.oversample)
+        if not all(math.isfinite(v) for v in numeric):
+            raise ValueError("signal parameters must be finite")
         if not 0.0 < self.fractional_bandwidth < 1.0:
             raise ValueError("fractional_bandwidth must lie in (0, 1)")
         if self.n_symbols < 1:
@@ -264,6 +269,15 @@ def fractional_delay(signal: ComplexSignal, delay: float) -> ComplexSignal:
 # Channel noise
 # ---------------------------------------------------------------------------
 
+def complex_noise(shape, variance: float, seed) -> np.ndarray:
+    """Circular complex Gaussian samples of the given variance (total over
+    the real and imaginary parts). Deterministic in the seed, which may be
+    an int or a tuple of ints."""
+    rng = np.random.default_rng(seed)
+    sigma = np.sqrt(variance / 2.0)
+    return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def awgn(signal: ComplexSignal, snr_db: float, seed) -> ComplexSignal:
     """Add circular complex Gaussian noise at the requested per-sample SNR.
 
@@ -279,9 +293,7 @@ def awgn(signal: ComplexSignal, snr_db: float, seed) -> ComplexSignal:
     p = np.mean(np.abs(x) ** 2)
     if p == 0.0:
         raise ZeroSignal("cannot set an SNR against a zero signal")
-    rng = np.random.default_rng(seed)
-    sigma = np.sqrt(p * 10.0 ** (-snr_db / 10.0) / 2.0)
-    noise = sigma * (rng.standard_normal(len(x)) + 1j * rng.standard_normal(len(x)))
+    noise = complex_noise(len(x), p * 10.0 ** (-snr_db / 10.0), seed)
     return ComplexSignal(x + noise, sample_rate=rate)
 
 

@@ -4,13 +4,22 @@ Both chains share the receiver conventions:
 
 * ``snr_db`` is the per-channel symbol-level (in-band) SNR, so a single
   element receives with EVM = -snr_db and an N-element broadside array
-  with EVM = -(snr_db + 10 log10 N). The white per-sample SNR handed to
-  the channel is adjusted by the oversampling factor accordingly.
+  with EVM = -(snr_db + 10 log10 N). The white per-sample SNR of each
+  element is adjusted by the oversampling factor accordingly.
 * Symbol timing locks to the centroid of the array's systematic delay
   spread (what a synchronizer tracking the combined signal converges to);
   OFDM DFT windows then sit at the conventional cyclic-prefix end.
 * The self-interference ratio (SSIR) of a run is the modulation error
-  ratio of a paired noiseless re-run with identical data and seeds.
+  ratio of the noiseless combiner output.
+
+The array up to the combiner is linear and time-invariant, so each chain
+receives the clean stream of every combiner branch in one filtering step
+(:func:`squintsim.wavefront.branch_streams`), combines, and ends in
+receiver noise drawn once at the combiner output. The element noise is
+white and i.i.d., the delays are unitary and the weights have unit
+modulus, so every combiner's output noise is exactly CN(0, sigma^2 / N)
+per sample (single carrier) or per tone and symbol (OFDM), sigma^2 being
+the per-element noise power.
 
 Runs are pure functions of (configs, seed); sweep points may execute
 concurrently when every point derives its own seed.
@@ -26,33 +35,28 @@ import numpy as np
 from . import analytic
 from .analytic import AnalyticReport, ArrayConfig
 from .combine import (
-    FULL_IDFT,
     PHASE_SUM,
-    REDUCED_IDFT,
     CombinerSpec,
-    full_idft_weights,
+    combine_branch_grids,
     reduced_idft_weights,
 )
 from .dsp import (
     ComplexSignal,
-    EvmReport,
     SignalSpec,
+    complex_noise,
     derive_seed,
     measure_evm,
     qam_map,
     rrc_taps,
     _evm_fit,
 )
-from .errors import CombinerRequiresOfdm, DimensionMismatch, IndivisibleSizing
+from .errors import CombinerRequiresOfdm, DimensionMismatch
 from .ofdm_spec import OfdmSpec
-from .wavefront import (
-    ElementStreams,
-    add_noise,
-    element_delay_samples,
-    phase_align,
-    propagate,
-    sync_mean_delay,
-)
+from .wavefront import branch_streams, element_delay_samples
+
+# not called here: bound because squintbench/tracer.py wraps these names on this module
+from .combine import full_idft_weights  # noqa: F401
+from .wavefront import add_noise, phase_align, propagate, sync_mean_delay  # noqa: F401
 
 _CONSTELLATION_CAP = 4096
 
@@ -136,34 +140,28 @@ def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) 
     return spec[:, _tone_bins(ofdm, q)]
 
 
-def _demod_grids(streams: ElementStreams, ofdm: OfdmSpec, oversample: int,
-                 guard: int, n_sym: int) -> np.ndarray:
-    """Per-element demodulated grids, shape (N, n_sym, M)."""
-    m, q = ofdm.m_carriers, oversample
-    block = (m + ofdm.cp_ratio_num) * q
-    x = streams.streams[:, guard:guard + n_sym * block]
-    cores = x.reshape(streams.n_elements, n_sym, block)[:, :, ofdm.cp_ratio_num * q:]
-    spec = np.fft.fft(cores, axis=2) / math.sqrt(m * q)
-    return spec[:, :, _tone_bins(ofdm, q)]
-
-
 # ---------------------------------------------------------------------------
 # Shared chain pieces
 # ---------------------------------------------------------------------------
 
-def _per_sample_snr(snr_db: float, oversample: int) -> float:
+def _check_snr(snr_db: float) -> None:
+    if math.isnan(snr_db) or snr_db == -math.inf:
+        raise ValueError("snr_db must be finite or +inf")
+
+
+def _output_noise(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec,
+                  snr_db: float, shape) -> np.ndarray:
+    """Receiver noise at the combiner output: CN(0, sigma^2 / N) samples.
+
+    sigma^2 is the per-element noise power, set against the power of the
+    padded transmit frame, which every element receives unchanged (the
+    array delays are unitary).
+    """
     # white noise fills the oversampled band; only 1/oversample of it lands
-    # in the signal band, so the per-sample request is lowered to match
-    if np.isinf(snr_db):
-        return snr_db
-    return snr_db - 10.0 * math.log10(oversample)
-
-
-def _prepared_streams(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec,
-                      snr_db: float, noise_seed) -> ElementStreams:
-    streams = propagate(tx, cfg, spec)
-    streams = add_noise(streams, _per_sample_snr(snr_db, tx.sample_rate), noise_seed)
-    return sync_mean_delay(phase_align(streams))
+    # in the signal band, so the per-sample SNR is lowered to match
+    snr_ps = snr_db - 10.0 * math.log10(tx.sample_rate)
+    variance = tx.power * 10.0 ** (-snr_ps / 10.0) / cfg.n_elements
+    return complex_noise(shape, variance, derive_seed(spec.seed, 1))
 
 
 def _fitted_constellation(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -188,7 +186,7 @@ def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.
     indices = rng.integers(0, spec.modulation_order, spec.n_symbols)
     symbols = qam_map(indices, spec.modulation_order).samples
     os = spec.oversample
-    spread = (cfg.n_elements - 1) * element_delay_samples(cfg, spec, os)
+    spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, os))
     guard_syms = int(np.ceil(spread / os)) + spec.rrc_span + 4
     up = np.zeros((spec.n_symbols + 2 * guard_syms) * os, dtype=np.complex128)
     up[guard_syms * os::os][: spec.n_symbols] = symbols
@@ -200,11 +198,22 @@ def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.
     return tx, symbols, guard_syms, sample_idx
 
 
-def _sc_receive(streams: ElementStreams, spec: SignalSpec, sample_idx: np.ndarray) -> np.ndarray:
-    combined = streams.streams.mean(axis=0)
+def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
+    """Transmitted symbols, then the matched-filter symbol samples of the
+    noiseless and of the noisy combiner output (the same array twice at
+    snr = inf)."""
+    tx, symbols, _, sample_idx = _sc_transmit(spec, cfg)
+    combined = next(branch_streams(tx, cfg, spec, cfg.n_elements)) / cfg.n_elements
     taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, spec.oversample)
-    matched = np.convolve(combined, taps)
-    return matched[sample_idx]
+
+    def matched(stream: np.ndarray) -> np.ndarray:
+        return np.convolve(stream, taps)[sample_idx]
+
+    rx_clean = matched(combined)
+    if np.isinf(snr_db):
+        return symbols, rx_clean, rx_clean
+    noise = _output_noise(tx, cfg, spec, snr_db, combined.shape)
+    return symbols, rx_clean, matched(combined + noise)
 
 
 def run_single_carrier(
@@ -216,27 +225,17 @@ def run_single_carrier(
     """Simulate the single-carrier link of an N-element phased receiver.
 
     Chain: QAM mapping, root-raised-cosine shaping, plane-wave reception
-    with progressive delays, per-element noise, phase-shifter alignment,
-    sum over elements, matched filtering and centroid-timed symbol
-    sampling, then EVM against the transmitted symbols.
+    with progressive delays, phase-shifter alignment, centroid timing and
+    the sum over elements (one array response), receiver noise at the sum,
+    matched filtering and symbol sampling, then EVM against the transmitted
+    symbols.
     """
     if combiner.kind != PHASE_SUM:
         raise CombinerRequiresOfdm("IDFT combining requires the OFDM chain")
-    tx, symbols, _, sample_idx = _sc_transmit(spec, cfg)
-    noise_seed = derive_seed(spec.seed, 1)
-
-    def one_pass(snr: float) -> np.ndarray:
-        streams = _prepared_streams(tx, cfg, spec, snr, noise_seed)
-        return _sc_receive(streams, spec, sample_idx)
-
-    rx_clean = one_pass(np.inf)
+    _check_snr(snr_db)
+    symbols, rx_clean, rx = _sc_receive(cfg, spec, snr_db)
     ssir_db = measure_evm(rx_clean, symbols).mer_db
-    if np.isinf(snr_db):
-        rx = rx_clean
-        evm_db = -ssir_db
-    else:
-        rx = one_pass(snr_db)
-        evm_db = measure_evm(rx, symbols).evm_db
+    evm_db = -ssir_db if np.isinf(snr_db) else measure_evm(rx, symbols).evm_db
     return SimReport(
         overall_evm_db=evm_db,
         overall_ssir_db=ssir_db,
@@ -258,7 +257,7 @@ def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig):
     grid = qam_map(indices.ravel(), spec.modulation_order).samples.reshape(shape)
     q = spec.oversample
     frame = ofdm_modulate(grid, ofdm, q).samples
-    spread = (cfg.n_elements - 1) * element_delay_samples(cfg, spec, q)
+    spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, q))
     guard = int(np.ceil(spread)) + 16
     padded = np.concatenate(
         [np.zeros(guard, np.complex128), frame, np.zeros(guard, np.complex128)]
@@ -266,40 +265,28 @@ def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig):
     return ComplexSignal(padded, sample_rate=float(q)), grid, guard
 
 
-def _combine_grids(grids: np.ndarray, streams: ElementStreams, ofdm: OfdmSpec,
-                   combiner: CombinerSpec) -> np.ndarray:
-    """Apply a combiner in the tone domain.
-
-    The DFT is linear, so demodulating each element and weighting tones is
-    exactly the per-stream time-domain combining of
-    :mod:`squintsim.combine`, kept in this form for memory efficiency.
-    """
-    n = streams.n_elements
-    if combiner.kind == PHASE_SUM:
-        return grids.mean(axis=0)
-    if combiner.kind == FULL_IDFT:
-        w = full_idft_weights(streams.cfg, streams.spec, ofdm)
-        return np.einsum("mn,njm->jm", w.matrix, grids) / n
-    n_sub, m_group = combiner.resolve_sizing(
-        streams.cfg, ofdm, streams.spec.fractional_bandwidth
-    )
-    if n % n_sub or ofdm.m_carriers % m_group:
-        raise IndivisibleSizing(
-            f"sizing ({n_sub}, {m_group}) does not divide (N={n}, M={ofdm.m_carriers})"
-        )
-    branch = grids.reshape(n // n_sub, n_sub, *grids.shape[1:]).sum(axis=1)
-    w = reduced_idft_weights(streams.cfg, streams.spec, ofdm, n_sub, m_group)
-    out = np.empty(grids.shape[1:], dtype=np.complex128)
-    for g in range(w.matrix.shape[0]):
-        tones = slice(g * m_group, (g + 1) * m_group)
-        out[:, tones] = np.einsum("r,rjm->jm", w.matrix[g], branch[:, :, tones]) / n
-    return out
-
-
 def _per_tone_evm(rx_grid: np.ndarray, ref_grid: np.ndarray) -> np.ndarray:
     return np.array(
         [measure_evm(rx_grid[:, m], ref_grid[:, m]).evm_db for m in range(rx_grid.shape[1])]
     )
+
+
+def _ofdm_receive(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, snr_db: float,
+                  combiner: CombinerSpec):
+    """Transmitted grid, then the combined tone grid without and with
+    receiver noise (the same array twice at snr = inf)."""
+    tx, ref_grid, guard = _ofdm_transmit(spec, ofdm, cfg)
+    n_sub, m_group = combiner.resolve_sizing(cfg, ofdm, spec.fractional_bandwidth)
+    weights = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
+    q = spec.oversample
+    frame = slice(guard, guard + ofdm.n_ofdm_symbols * (ofdm.m_carriers + ofdm.cp_ratio_num) * q)
+    grids = np.empty((cfg.n_elements // n_sub,) + ref_grid.shape, dtype=np.complex128)
+    for r, stream in enumerate(branch_streams(tx, cfg, spec, n_sub)):
+        grids[r] = ofdm_demodulate(ComplexSignal(stream[frame], float(q)), ofdm, q)
+    rx_clean = combine_branch_grids(grids, weights, cfg.n_elements)
+    if np.isinf(snr_db):
+        return ref_grid, rx_clean, rx_clean
+    return ref_grid, rx_clean, rx_clean + _output_noise(tx, cfg, spec, snr_db, rx_clean.shape)
 
 
 def run_ofdm(
@@ -312,28 +299,17 @@ def run_ofdm(
     """Simulate the OFDM link with the selected spatial combiner.
 
     Chain: per-tone QAM grid, oversampled inverse transform with cyclic
-    prefix, plane-wave reception, per-element noise, phase alignment,
-    centroid timing, combining, prefix-stripped DFT windows, then per-tone
-    EVM against the transmitted grid. The overall figure is the RMS across
-    all tones and symbols; SSIR comes from the paired noiseless pass.
+    prefix, plane-wave reception, phase alignment and centroid timing (one
+    response per combiner branch), prefix-stripped DFT windows on each
+    branch, the combiner's weights per tone group, receiver noise at the
+    combiner output, then per-tone EVM against the transmitted grid. The
+    overall figure is the RMS across all tones and symbols; SSIR is that of
+    the noiseless output.
     """
-    tx, ref_grid, guard = _ofdm_transmit(spec, ofdm, cfg)
-    noise_seed = derive_seed(spec.seed, 1)
-    q = spec.oversample
-
-    def one_pass(snr: float) -> np.ndarray:
-        streams = _prepared_streams(tx, cfg, spec, snr, noise_seed)
-        grids = _demod_grids(streams, ofdm, q, guard, ofdm.n_ofdm_symbols)
-        return _combine_grids(grids, streams, ofdm, combiner)
-
-    rx_clean = one_pass(np.inf)
+    _check_snr(snr_db)
+    ref_grid, rx_clean, rx = _ofdm_receive(cfg, spec, ofdm, snr_db, combiner)
     ssir_tones = -_per_tone_evm(rx_clean, ref_grid)
-    if np.isinf(snr_db):
-        rx = rx_clean
-        evm_tones = -ssir_tones
-    else:
-        rx = one_pass(snr_db)
-        evm_tones = _per_tone_evm(rx, ref_grid)
+    evm_tones = -ssir_tones if np.isinf(snr_db) else _per_tone_evm(rx, ref_grid)
     per_tone = [
         ToneMetrics(m, float(evm_tones[m]), float(ssir_tones[m]))
         for m in range(ofdm.m_carriers)

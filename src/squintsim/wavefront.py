@@ -1,24 +1,32 @@
 """The array propagation channel.
 
-Splits a transmitted baseband signal into per-element received streams
-carrying the progressive group delay and carrier phase of a plane wave
-arriving from the steering direction, then models the phase-shifter
-correction and per-element receiver noise.
+Between the transmitter and the combiner the array is a linear,
+time-invariant filter bank. :func:`branch_streams` is what the link chains
+use: it collapses plane-wave propagation, phase-shifter alignment and
+centroid timing sync into one frequency response per combiner branch
+(a contiguous sub-array), so a frame costs one forward FFT plus one
+inverse FFT per branch, and memory holds one stream per branch.
 
-Per-element processing is independent (noise uses a per-element derived
-seed), so elements may be processed in parallel with results identical to
-sequential execution.
+The per-element stages are the reference that ``branch_streams`` and the
+time-domain combiners are tested against: :func:`propagate` splits a
+transmitted baseband signal into per-element received streams carrying the
+progressive group delay and carrier phase of a plane wave arriving from the
+steering direction, :func:`phase_align` models the phase-shifter correction,
+:func:`add_noise` per-element receiver noise (per-element derived seeds, so
+results do not depend on processing order) and :func:`sync_mean_delay` the
+receiver's timing recovery.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analytic import ArrayConfig
 from .dsp import ComplexSignal, SignalSpec, awgn, _fractional_delay_array
-from .errors import InsufficientGuard
+from .errors import IndivisibleSizing, InsufficientGuard
 
 
 @dataclass(eq=False)
@@ -59,11 +67,6 @@ def element_delay_samples(cfg: ArrayConfig, spec: SignalSpec, sample_rate: float
     return cfg.delay_per_element_cycles * spec.fractional_bandwidth * sample_rate
 
 
-def total_delay_spread_samples(cfg: ArrayConfig, spec: SignalSpec, sample_rate: float) -> float:
-    """Group-delay spread between the first and last element, in samples."""
-    return (cfg.n_elements - 1) * element_delay_samples(cfg, spec, sample_rate)
-
-
 def _carrier_phases(cfg: ArrayConfig) -> np.ndarray:
     # passband delay at the carrier appears at baseband as this rotation
     n = np.arange(cfg.n_elements)
@@ -90,14 +93,8 @@ def propagate(
     if dtau == 0.0:
         streams = np.tile(x, (n_el, 1))
         return ElementStreams(streams, cfg, spec, tx.sample_rate)
-    need = int(np.ceil((n_el - 1) * abs(dtau))) + 1
-    if check_guard and len(x):
-        if need >= len(x) // 4:
-            raise InsufficientGuard("signal too short for the array's delay spread")
-        if np.any(x[:need] != 0) or np.any(x[-need:] != 0):
-            raise InsufficientGuard(
-                f"leading and trailing {need} samples must be zero guards"
-            )
+    if check_guard:
+        _check_guard(x, n_el, dtau)
     streams = np.empty((n_el, len(x)), dtype=np.complex128)
     streams[0] = x
     spectrum = np.fft.fft(x)
@@ -107,6 +104,72 @@ def propagate(
         ramp = np.exp(-2j * np.pi * freqs * (n * dtau))
         streams[n] = rot[n] * np.fft.ifft(spectrum * ramp)
     return ElementStreams(streams, cfg, spec, tx.sample_rate)
+
+
+def _check_guard(x: np.ndarray, n_elements: int, dtau: float) -> None:
+    # circular delays of up to (N - 1) * dtau samples must only wrap zeros
+    if not len(x):
+        return
+    need = int(np.ceil((n_elements - 1) * abs(dtau))) + 1
+    if need >= len(x) // 4:
+        raise InsufficientGuard("signal too short for the array's delay spread")
+    if np.any(x[:need] != 0) or np.any(x[-need:] != 0):
+        raise InsufficientGuard(
+            f"leading and trailing {need} samples must be zero guards"
+        )
+
+
+def _geometric_sum(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(sum_{k < n} z^k, z^n)`` elementwise, by binary powering: about
+    2 log2(n) array products instead of n, so large sub-arrays stay cheap."""
+    total = np.zeros_like(z)
+    power = np.ones_like(z)  # z^m, m = the terms summed so far
+    block_sum = np.ones_like(z)  # sum of the first 2^i terms
+    block_power = z.copy()  # z^(2^i)
+    while n:
+        if n & 1:
+            total += power * block_sum
+            power *= block_power
+        n >>= 1
+        if n:
+            block_sum += block_power * block_sum
+            block_power *= block_power
+    return total, power
+
+
+def branch_streams(
+    tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
+) -> Iterator[np.ndarray]:
+    """Clean received stream of each combiner branch, one branch at a time.
+
+    Branch r is the unnormalized sum of the ``n_sub`` contiguous elements
+    ``[r * n_sub, (r + 1) * n_sub)`` after propagation, phase alignment and
+    centroid sync, that is ``presum_subarrays(sync_mean_delay(phase_align(
+    propagate(tx))), n_sub)[r]`` of :mod:`squintsim.combine`. The carrier
+    rotations of propagation and alignment cancel exactly, so the branch is
+    ``ifft(fft(tx) * H_r)`` with
+    ``H_r(f) = sum_{n in r} exp(-j 2 pi f (n dtau - tau_mean))``. The
+    responses are built by recurrence on ``z = exp(-j 2 pi f dtau)``, so a
+    frame costs two complex exponentials whatever the array size.
+    ``n_sub = N`` yields the single stream of the whole array. Raises
+    :class:`InsufficientGuard` like :func:`propagate`.
+    """
+    n_el = cfg.n_elements
+    if n_sub < 1 or n_el % n_sub:
+        raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {n_el}")
+    x = tx.samples
+    dtau = element_delay_samples(cfg, spec, tx.sample_rate)
+    if dtau != 0.0:
+        _check_guard(x, n_el, dtau)
+    spectrum = np.fft.fft(x)
+    freqs = np.fft.fftfreq(len(x))
+    # sub-array response sum_{k < n_sub} z^k; z^n_sub steps one branch on
+    response, stride = _geometric_sum(np.exp(-2j * np.pi * freqs * dtau), n_sub)
+    # centroid sync advances every element by tau_mean
+    response *= np.exp(2j * np.pi * freqs * ((n_el - 1) / 2.0 * dtau))
+    for _ in range(n_el // n_sub):
+        yield np.fft.ifft(spectrum * response)
+        response *= stride
 
 
 def phase_align(streams: ElementStreams) -> ElementStreams:

@@ -44,6 +44,13 @@ class TestArrayConfig:
         with pytest.raises(ValueError):
             ArrayConfig(8, 0.5, spacing_ratio=0.0)
 
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                ArrayConfig(8, bad)
+            with pytest.raises(ValueError, match="finite"):
+                ArrayConfig(8, 0.5, spacing_ratio=bad)
+
     def test_grating_lobe_warning(self):
         with pytest.warns(UserWarning):
             ArrayConfig(8, 0.5, spacing_ratio=0.75)

@@ -48,6 +48,16 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="theta_deg"):
             ExperimentConfig({"theta_deg": "thirty"})
 
+    @pytest.mark.parametrize("key", ["theta_deg", "bw", "spacing", "sweep_bw"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_floats_rejected(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig({key: value})
+
+    @pytest.mark.parametrize("value", ["inf", "+inf", "Infinity"])
+    def test_snr_accepts_positive_infinity(self, value):
+        assert ExperimentConfig({"snr_db": value})["snr_db"] == np.inf
+
     def test_flags_override_file(self, tmp_path, capsys):
         path = tmp_path / "exp.cfg"
         path.write_text("n = 8\ntheta_deg = 30\nbw = 0.2\n")
@@ -99,6 +109,14 @@ class TestAnalyze:
         code = run_cli(["analyze", "--n", "0", "--theta-deg", "30"])
         assert code == EXIT_CONFIG
 
+    def test_nan_angle_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "nan"
+        code = run_cli(["analyze", "--n", "16", "--theta-deg", "nan", "--bw", "0.2",
+                        "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "theta_deg" in capsys.readouterr().err
+        assert not (tmp_path / "nan.json").exists()
+
 
 class TestSimulate:
     def _args(self, tmp_path, **over):
@@ -144,6 +162,16 @@ class TestSimulate:
             a = (tmp_path / f"one{suffix}").read_bytes()
             b = (tmp_path / f"two{suffix}").read_bytes()
             assert a == b
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_snr_is_config_error(self, tmp_path, capsys, value):
+        args = self._args(tmp_path)
+        at = args.index("--snr-db")
+        # the '=' form, or argparse would read '-inf' as a flag
+        args[at:at + 2] = [f"--snr-db={value}"]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "snr_db" in capsys.readouterr().err
+        assert not (tmp_path / "sim.json").exists()
 
     def test_config_echo_round_trips(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"

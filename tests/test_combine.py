@@ -7,6 +7,7 @@ from squintsim import (
     ArrayConfig,
     ComplexSignal,
     CombinerSpec,
+    IdftWeights,
     OfdmSpec,
     SignalSpec,
     full_idft_combine,
@@ -141,6 +142,11 @@ class TestReducedIdft:
             assert groups[m] == range(m, m + 1)
             assert np.allclose(outs[m].samples, full[m].samples, atol=1e-12)
 
+    def test_weights_reject_non_unit_modulus(self):
+        # a real check, not an assert, so it also holds under python -O
+        with pytest.raises(ValueError, match="unit modulus"):
+            IdftWeights(np.array([[1.0, 0.5]]))
+
     def test_group_weights_use_stride_and_midpoint(self):
         cfg = ArrayConfig(16, 30 * DEG)
         spec = SignalSpec(0.2, seed=0)
@@ -196,6 +202,12 @@ class TestCombinerSpec:
         ofdm = OfdmSpec(128)
         spec = CombinerSpec.reduced_idft()
         assert spec.resolve_sizing(cfg, ofdm, 0.2) == (16, 32)
+
+    def test_degenerate_kinds_resolve_to_reduced_sizings(self):
+        cfg = ArrayConfig(64, 30 * DEG)
+        ofdm = OfdmSpec(128)
+        assert CombinerSpec.phase_shifter_sum().resolve_sizing(cfg, ofdm, 0.2) == (64, 128)
+        assert CombinerSpec.full_idft().resolve_sizing(cfg, ofdm, 0.2) == (1, 1)
 
 
 class TestWeightsCsv:

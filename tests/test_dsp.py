@@ -302,3 +302,11 @@ class TestSignalSpec:
             SignalSpec(0.2, rrc_span=7)
         with pytest.raises(InvalidOrder):
             SignalSpec(0.2, modulation_order=8)
+
+    @pytest.mark.parametrize(
+        "field", ["fractional_bandwidth", "n_symbols", "rrc_rolloff", "oversample"]
+    )
+    def test_rejects_non_finite(self, field):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SignalSpec(**{"fractional_bandwidth": 0.2, field: bad})

@@ -212,3 +212,21 @@ class TestOfdmChain:
         # overall aggregates per-tone errors by RMS
         rms = 10 * np.log10(np.mean([10 ** (t.evm_db / 10) for t in report.per_tone]))
         assert report.overall_evm_db == pytest.approx(rms, abs=1e-6)
+
+
+class TestNegativeSteering:
+    # the delay set relative to the centroid is the same at -theta and
+    # +theta, so the guards must be sized from the magnitude of the delay
+    def test_ofdm_mirrors_positive_angle(self):
+        spec = SignalSpec(0.2, oversample=4, seed=15)
+        ofdm = OfdmSpec(32, n_ofdm_symbols=40)
+        for combiner in (CombinerSpec.phase_shifter_sum(), CombinerSpec.full_idft()):
+            pos = run_ofdm(ArrayConfig(16, 45 * DEG), spec, ofdm, np.inf, combiner)
+            neg = run_ofdm(ArrayConfig(16, -45 * DEG), spec, ofdm, np.inf, combiner)
+            assert neg.overall_ssir_db == pytest.approx(pos.overall_ssir_db, abs=1e-6)
+
+    def test_single_carrier_mirrors_positive_angle(self):
+        spec = SignalSpec(0.4, n_symbols=500, seed=16)
+        pos = run_single_carrier(ArrayConfig(64, 60 * DEG), spec, np.inf)
+        neg = run_single_carrier(ArrayConfig(64, -60 * DEG), spec, np.inf)
+        assert neg.overall_ssir_db == pytest.approx(pos.overall_ssir_db, abs=1e-6)
