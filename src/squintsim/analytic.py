@@ -295,17 +295,19 @@ def _divisors(n: int) -> list[int]:
 def reduced_sizing(cfg: ArrayConfig, m_carriers: int, bw_sig: float) -> ReducedSizing:
     """Smallest divisor-based IDFT reduction meeting the coherence bounds.
 
-    Both reduced dimensions must exceed N BW sin(theta0) / 1.77, which
-    simultaneously keeps each pre-combined sub-array inside its coherent
-    bandwidth and each tone group inside the 3 dB tone span. Dimensions are
-    restricted to divisors of N and M so sub-arrays and tone groups tile
-    exactly.
+    Both reduced dimensions must exceed BW / coherent bandwidth, that is
+    N BW sin(theta0) (2 d / lambda) / 1.77, which simultaneously keeps each
+    pre-combined sub-array inside its coherent bandwidth and each tone group
+    inside the 3 dB tone span. Dimensions are restricted to divisors of N
+    and M so sub-arrays and tone groups tile exactly. At broadside the
+    bound is 0 and the smallest divisor, 1, meets it.
     """
     if m_carriers < 1:
         raise ValueError("m_carriers must be positive")
     if bw_sig <= 0:
         raise ValueError("bw_sig must be positive")
-    bound = cfg.n_elements * bw_sig * abs(cfg.sin_steer) / SINC_3DB_FACTOR
+    bound = (cfg.n_elements * bw_sig * abs(cfg.sin_steer) * 2.0 * cfg.spacing_ratio
+             / SINC_3DB_FACTOR)
 
     def smallest_divisor_above(n: int) -> int:
         for d in _divisors(n):

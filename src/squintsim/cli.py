@@ -2,7 +2,8 @@
 
 Subcommands:
 
-* ``analyze``: print (and optionally save) the closed-form predictions.
+* ``analyze``: print the closed-form predictions and write them to a JSON
+  report.
 * ``simulate``: run one link simulation, writing a JSON report plus
   per-tone and constellation CSVs.
 * ``sweep``: run a grid of (N, theta, BW) cells into one CSV, cells
@@ -19,16 +20,12 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__, analytic
-from .combine import PHASE_SUM
 from .config import ExperimentConfig, parse_config_file
 from .dsp import derive_seed
 from .errors import ConfigError, SquintSimError
@@ -87,19 +84,6 @@ def _json_text(payload: dict) -> str:
 # analyze
 # ---------------------------------------------------------------------------
 
-def _report_dict(report) -> dict:
-    def convert(value):
-        if dataclasses.is_dataclass(value):
-            return {k: convert(v) for k, v in dataclasses.asdict(value).items()}
-        if isinstance(value, (tuple, list)):
-            return [convert(v) for v in value]
-        if isinstance(value, np.generic):
-            return value.item()
-        return value
-
-    return {k: convert(v) for k, v in dataclasses.asdict(report).items()}
-
-
 def cmd_analyze(cfg: ExperimentConfig) -> int:
     report = analytic.report(cfg.array, cfg["bw"], cfg["carriers"])
     if report.coherent_bw is None:
@@ -107,13 +91,11 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
             "analysis is undefined at broadside steering (theta = 0): "
             "coherent bandwidth and null positions are unbounded"
         )
-    payload = {"config": cfg.echo(), "version": __version__, "analytic": _report_dict(report)}
+    payload = {"config": cfg.echo(), "version": __version__, "analytic": dataclasses.asdict(report)}
     text = _json_text(payload)
     print(text)
-    out = cfg["out"]
-    if out != "report":
-        with open(f"{out}.json", "w") as fh:
-            fh.write(text + "\n")
+    with open(f"{cfg['out']}.json", "w") as fh:
+        fh.write(text + "\n")
     return EXIT_OK
 
 
@@ -138,7 +120,7 @@ def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
         "version": __version__,
         "overall_evm_db": report.overall_evm_db,
         "overall_ssir_db": report.overall_ssir_db,
-        "analytic": _report_dict(report.analytic),
+        "analytic": dataclasses.asdict(report.analytic),
     }
     path = f"{out}.json"
     with open(path, "w") as fh:
@@ -188,7 +170,7 @@ def _sweep_cell(payload: tuple) -> tuple[int, float | None, float | None, str]:
     try:
         report = _run_point(ExperimentConfig(values))
         return index, report.overall_ssir_db, report.overall_evm_db, ""
-    except SquintSimError as exc:
+    except Exception as exc:  # one failed cell must not end the sweep
         return index, None, None, f"{type(exc).__name__}: {exc}"
 
 

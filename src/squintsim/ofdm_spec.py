@@ -11,15 +11,12 @@ class OfdmSpec:
 
     ``cp_ratio_num`` is the integer k in T_cp / T_symbol = k / M, so the
     cyclic prefix spans k samples at critical sampling of the M-point
-    symbol. ``center_tone`` (m0) is the tone index that sits at the
-    carrier frequency; tones run 0..M-1 from the low to the high band
-    edge, so it defaults to M/2.
+    symbol. Tones run 0..M-1 from the low to the high band edge.
     """
 
     m_carriers: int
     n_ofdm_symbols: int = 150
     cp_ratio_num: int = 2
-    center_tone: int | None = None
 
     def __post_init__(self):
         if self.m_carriers < 2:
@@ -28,7 +25,8 @@ class OfdmSpec:
             raise ValueError("cp_ratio_num must satisfy 1 <= k < M")
         if self.n_ofdm_symbols < 1:
             raise ValueError("n_ofdm_symbols must be positive")
-        if self.center_tone is None:
-            object.__setattr__(self, "center_tone", self.m_carriers // 2)
-        if not 0 <= self.center_tone < self.m_carriers:
-            raise ValueError("center_tone must lie in [0, M)")
+
+    @property
+    def center_tone(self) -> int:
+        """The tone index m0 = M/2 that sits at the carrier frequency."""
+        return self.m_carriers // 2

@@ -2,10 +2,9 @@
 
 Both chains share the receiver conventions:
 
-* ``snr_db`` is the per-channel symbol-level (in-band) SNR, so a single
-  element receives with EVM = -snr_db and an N-element broadside array
-  with EVM = -(snr_db + 10 log10 N). The white per-sample SNR of each
-  element is adjusted by the oversampling factor accordingly.
+* ``snr_db`` is the per-channel symbol-level (in-band) SNR against the
+  unit symbol power, so a single element receives with EVM = -snr_db and
+  an N-element broadside array with EVM = -(snr_db + 10 log10 N).
 * Symbol timing locks to the centroid of the array's systematic delay
   spread (what a synchronizer tracking the combined signal converges to);
   OFDM DFT windows then sit at the conventional cyclic-prefix end.
@@ -13,13 +12,14 @@ Both chains share the receiver conventions:
   ratio of the noiseless combiner output.
 
 The array up to the combiner is linear and time-invariant, so each chain
-receives the clean stream of every combiner branch in one filtering step
-(:func:`squintsim.wavefront.branch_streams`), combines, and ends in
-receiver noise drawn once at the combiner output. The element noise is
-white and i.i.d., the delays are unitary and the weights have unit
-modulus, so every combiner's output noise is exactly CN(0, sigma^2 / N)
-per sample (single carrier) or per tone and symbol (OFDM), sigma^2 being
-the per-element noise power.
+multiplies the spectrum of its frame by one response per combiner branch
+(:func:`squintsim.wavefront.branch_responses`); the single-carrier chain
+folds its pulse shaping and matched filter into the same product. Receiver
+noise is drawn once, at the combiner output. The element noise is white
+and i.i.d., the delays are unitary, the weights have unit modulus and the
+matched filter has unit energy, so every combiner's output noise is
+exactly CN(0, 10^(-snr_db/10) / N) per symbol (single carrier) or per tone
+and symbol (OFDM).
 
 Runs are pure functions of (configs, seed); sweep points may execute
 concurrently when every point derives its own seed.
@@ -52,7 +52,7 @@ from .dsp import (
 )
 from .errors import CombinerRequiresOfdm, DimensionMismatch
 from .ofdm_spec import OfdmSpec
-from .wavefront import branch_streams, element_delay_samples
+from .wavefront import branch_responses, element_delay_samples
 
 # not called here: bound because squintbench/tracer.py wraps these names on this module
 from .combine import full_idft_weights  # noqa: F401
@@ -149,19 +149,14 @@ def _check_snr(snr_db: float) -> None:
         raise ValueError("snr_db must be finite or +inf")
 
 
-def _output_noise(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec,
-                  snr_db: float, shape) -> np.ndarray:
-    """Receiver noise at the combiner output: CN(0, sigma^2 / N) samples.
-
-    sigma^2 is the per-element noise power, set against the power of the
-    padded transmit frame, which every element receives unchanged (the
-    array delays are unitary).
-    """
-    # white noise fills the oversampled band; only 1/oversample of it lands
-    # in the signal band, so the per-sample SNR is lowered to match
-    snr_ps = snr_db - 10.0 * math.log10(tx.sample_rate)
-    variance = tx.power * 10.0 ** (-snr_ps / 10.0) / cfg.n_elements
-    return complex_noise(shape, variance, derive_seed(spec.seed, 1))
+def _add_receiver_noise(clean: np.ndarray, cfg: ArrayConfig, spec: SignalSpec,
+                        snr_db: float) -> np.ndarray:
+    """``clean`` plus the combiner-output noise CN(0, 10^(-snr_db/10) / N)
+    per symbol (or per tone and symbol); ``clean`` itself at snr = inf."""
+    if np.isinf(snr_db):
+        return clean
+    variance = 10.0 ** (-snr_db / 10.0) / cfg.n_elements
+    return clean + complex_noise(clean.shape, variance, derive_seed(spec.seed, 1))
 
 
 def _fitted_constellation(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
@@ -181,39 +176,41 @@ def _rms_db(values_db: np.ndarray) -> float:
 # Single-carrier chain
 # ---------------------------------------------------------------------------
 
-def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.ndarray, int, np.ndarray]:
+def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.ndarray, slice]:
+    """Symbol impulses on a zero-guarded grid, the symbols, and the slice of
+    the impulse instants (where the zero-phase RRC cascade peaks)."""
     rng = np.random.default_rng(spec.seed)
     indices = rng.integers(0, spec.modulation_order, spec.n_symbols)
     symbols = qam_map(indices, spec.modulation_order).samples
     os = spec.oversample
     spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, os))
     guard_syms = int(np.ceil(spread / os)) + spec.rrc_span + 4
-    up = np.zeros((spec.n_symbols + 2 * guard_syms) * os, dtype=np.complex128)
-    up[guard_syms * os::os][: spec.n_symbols] = symbols
-    taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, os)
-    shaped = np.convolve(up, taps)
-    tx = ComplexSignal(shaped, sample_rate=float(os))
-    # symbol k peaks at this index after TX shaping plus matched filtering
-    sample_idx = guard_syms * os + (len(taps) - 1) + np.arange(spec.n_symbols) * os
-    return tx, symbols, guard_syms, sample_idx
+    # room for half an RRC span on either side of the guarded symbols
+    first = guard_syms * os + spec.rrc_span * os // 2
+    instants = slice(first, first + spec.n_symbols * os, os)
+    up = np.zeros((spec.n_symbols + 2 * guard_syms + spec.rrc_span) * os, dtype=np.complex128)
+    up[instants] = symbols
+    return ComplexSignal(up, sample_rate=float(os)), symbols, instants
 
 
 def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
     """Transmitted symbols, then the matched-filter symbol samples of the
     noiseless and of the noisy combiner output (the same array twice at
-    snr = inf)."""
-    tx, symbols, _, sample_idx = _sc_transmit(spec, cfg)
-    combined = next(branch_streams(tx, cfg, spec, cfg.n_elements)) / cfg.n_elements
+    snr = inf).
+
+    Shaping, array and matched filter are one spectrum product: the impulse
+    frame times R^2 H / N, with R the spectrum of the zero-phase RRC taps
+    and H the whole array's response.
+    """
+    tx, symbols, instants = _sc_transmit(spec, cfg)
     taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, spec.oversample)
-
-    def matched(stream: np.ndarray) -> np.ndarray:
-        return np.convolve(stream, taps)[sample_idx]
-
-    rx_clean = matched(combined)
-    if np.isinf(snr_db):
-        return symbols, rx_clean, rx_clean
-    noise = _output_noise(tx, cfg, spec, snr_db, combined.shape)
-    return symbols, rx_clean, matched(combined + noise)
+    padded = np.zeros(len(tx))
+    padded[:len(taps)] = taps
+    rrc = np.fft.fft(np.roll(padded, -(len(taps) // 2)))
+    array = next(branch_responses(tx, cfg, spec, cfg.n_elements))
+    spectrum = np.fft.fft(tx.samples) * rrc**2 * array
+    rx_clean = np.fft.ifft(spectrum)[instants] / cfg.n_elements
+    return symbols, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
 
 
 def run_single_carrier(
@@ -226,9 +223,9 @@ def run_single_carrier(
 
     Chain: QAM mapping, root-raised-cosine shaping, plane-wave reception
     with progressive delays, phase-shifter alignment, centroid timing and
-    the sum over elements (one array response), receiver noise at the sum,
-    matched filtering and symbol sampling, then EVM against the transmitted
-    symbols.
+    the sum over elements, matched filtering and symbol sampling (one
+    spectrum product: shaping, array response and matched filter), receiver
+    noise per output symbol, then EVM against the transmitted symbols.
     """
     if combiner.kind != PHASE_SUM:
         raise CombinerRequiresOfdm("IDFT combining requires the OFDM chain")
@@ -281,12 +278,12 @@ def _ofdm_receive(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, snr_db: fl
     q = spec.oversample
     frame = slice(guard, guard + ofdm.n_ofdm_symbols * (ofdm.m_carriers + ofdm.cp_ratio_num) * q)
     grids = np.empty((cfg.n_elements // n_sub,) + ref_grid.shape, dtype=np.complex128)
-    for r, stream in enumerate(branch_streams(tx, cfg, spec, n_sub)):
-        grids[r] = ofdm_demodulate(ComplexSignal(stream[frame], float(q)), ofdm, q)
+    spectrum = np.fft.fft(tx.samples)
+    for r, response in enumerate(branch_responses(tx, cfg, spec, n_sub)):
+        stream = np.fft.ifft(spectrum * response)[frame]
+        grids[r] = ofdm_demodulate(ComplexSignal(stream, float(q)), ofdm, q)
     rx_clean = combine_branch_grids(grids, weights, cfg.n_elements)
-    if np.isinf(snr_db):
-        return ref_grid, rx_clean, rx_clean
-    return ref_grid, rx_clean, rx_clean + _output_noise(tx, cfg, spec, snr_db, rx_clean.shape)
+    return ref_grid, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
 
 
 def run_ofdm(
@@ -320,7 +317,7 @@ def run_ofdm(
         c, _ = _evm_fit(rx[:, m], ref_grid[:, m])
         fitted[:, m] = c * rx[:, m]
     flat_rx, flat_ref = fitted.ravel(), ref_grid.ravel()
-    stride = max(1, len(flat_rx) // _CONSTELLATION_CAP)
+    stride = -(-len(flat_rx) // _CONSTELLATION_CAP)  # ceiling: at most the cap
     constellation = np.stack([flat_rx[::stride], flat_ref[::stride]], axis=1)
     return SimReport(
         overall_evm_db=float(_rms_db(evm_tones)),

@@ -1,13 +1,14 @@
 """The array propagation channel.
 
 Between the transmitter and the combiner the array is a linear,
-time-invariant filter bank. :func:`branch_streams` is what the link chains
-use: it collapses plane-wave propagation, phase-shifter alignment and
-centroid timing sync into one frequency response per combiner branch
-(a contiguous sub-array), so a frame costs one forward FFT plus one
-inverse FFT per branch, and memory holds one stream per branch.
+time-invariant filter bank. :func:`branch_responses` is what the link
+chains use: it collapses plane-wave propagation, phase-shifter alignment
+and centroid timing sync into one frequency response per combiner branch
+(a contiguous sub-array). The chains apply those responses to the spectrum
+of their frame themselves, so nothing here transforms a signal on the
+chains' path.
 
-The per-element stages are the reference that ``branch_streams`` and the
+The per-element stages are the reference that ``branch_responses`` and the
 time-domain combiners are tested against: :func:`propagate` splits a
 transmitted baseband signal into per-element received streams carrying the
 progressive group delay and carrier phase of a plane wave arriving from the
@@ -53,9 +54,6 @@ class ElementStreams:
     @property
     def n_elements(self) -> int:
         return self.streams.shape[0]
-
-    def element(self, n: int) -> ComplexSignal:
-        return ComplexSignal(self.streams[n], sample_rate=self.sample_rate)
 
 
 def element_delay_samples(cfg: ArrayConfig, spec: SignalSpec, sample_rate: float) -> float:
@@ -137,39 +135,39 @@ def _geometric_sum(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return total, power
 
 
-def branch_streams(
+def branch_responses(
     tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
 ) -> Iterator[np.ndarray]:
-    """Clean received stream of each combiner branch, one branch at a time.
+    """Frequency response of each combiner branch on the FFT grid of ``tx``,
+    one branch at a time.
 
     Branch r is the unnormalized sum of the ``n_sub`` contiguous elements
     ``[r * n_sub, (r + 1) * n_sub)`` after propagation, phase alignment and
-    centroid sync, that is ``presum_subarrays(sync_mean_delay(phase_align(
-    propagate(tx))), n_sub)[r]`` of :mod:`squintsim.combine`. The carrier
-    rotations of propagation and alignment cancel exactly, so the branch is
-    ``ifft(fft(tx) * H_r)`` with
+    centroid sync, so ``ifft(fft(tx) * H_r)`` equals ``presum_subarrays(
+    sync_mean_delay(phase_align(propagate(tx))), n_sub)[r]`` of
+    :mod:`squintsim.combine`. The carrier rotations of propagation and
+    alignment cancel exactly, leaving
     ``H_r(f) = sum_{n in r} exp(-j 2 pi f (n dtau - tau_mean))``. The
     responses are built by recurrence on ``z = exp(-j 2 pi f dtau)``, so a
     frame costs two complex exponentials whatever the array size.
-    ``n_sub = N`` yields the single stream of the whole array. Raises
-    :class:`InsufficientGuard` like :func:`propagate`.
+    ``n_sub = N`` yields the single response of the whole array. Every
+    yielded array is fresh. Raises :class:`InsufficientGuard` like
+    :func:`propagate`.
     """
     n_el = cfg.n_elements
     if n_sub < 1 or n_el % n_sub:
         raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {n_el}")
-    x = tx.samples
     dtau = element_delay_samples(cfg, spec, tx.sample_rate)
     if dtau != 0.0:
-        _check_guard(x, n_el, dtau)
-    spectrum = np.fft.fft(x)
-    freqs = np.fft.fftfreq(len(x))
+        _check_guard(tx.samples, n_el, dtau)
+    freqs = np.fft.fftfreq(len(tx))
     # sub-array response sum_{k < n_sub} z^k; z^n_sub steps one branch on
     response, stride = _geometric_sum(np.exp(-2j * np.pi * freqs * dtau), n_sub)
     # centroid sync advances every element by tau_mean
     response *= np.exp(2j * np.pi * freqs * ((n_el - 1) / 2.0 * dtau))
     for _ in range(n_el // n_sub):
-        yield np.fft.ifft(spectrum * response)
-        response *= stride
+        yield response
+        response = response * stride
 
 
 def phase_align(streams: ElementStreams) -> ElementStreams:

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (
     ArrayConfig,
@@ -22,7 +24,13 @@ from squintsim import (
     space_factor,
     space_factor_at_steer,
 )
-from squintsim.analytic import SINC_3DB_FACTOR, eirp_gain_db, report, rx_snr_gain_db
+from squintsim.analytic import (
+    SINC_3DB_FACTOR,
+    _space_factor_direct,
+    eirp_gain_db,
+    report,
+    rx_snr_gain_db,
+)
 from squintsim.errors import DegenerateSteer, Infeasible, SpacingAssumption
 
 DEG = np.pi / 180.0
@@ -94,6 +102,22 @@ class TestSpaceFactor:
     def test_rejects_nonpositive_frequency(self):
         with pytest.raises(ValueError):
             space_factor(ArrayConfig(8, 30 * DEG), 0.0, 0.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 256),
+    st.floats(-60.0, 60.0),
+    st.floats(-60.0, 60.0),
+    st.floats(0.5, 1.2),
+)
+def test_space_factor_matches_direct_sum_property(n, steer_deg, theta_deg, f_ratio):
+    # |offset| stays below 0.96 turns, away from the integer poles of
+    # sin(pi u) where the closed ratio loses precision
+    cfg = ArrayConfig(n, steer_deg * DEG)
+    closed = space_factor(cfg, theta_deg * DEG, f_ratio)
+    direct = _space_factor_direct(cfg, theta_deg * DEG, f_ratio)
+    assert closed == pytest.approx(direct, abs=1e-10)
 
 
 class TestSpaceFactorAtSteer:
@@ -233,6 +257,13 @@ class TestReducedSizing:
     def test_wide_band_end_fire(self):
         s = reduced_sizing(ArrayConfig(64, 89.99999 * DEG), 128, 0.4)
         assert (s.n_reduced, s.m_reduced) == (16, 16)
+
+    def test_bound_follows_spacing(self):
+        # d = lambda/4 doubles the coherent bandwidth, so less reduction is needed
+        half = reduced_sizing(ArrayConfig(16, 40 * DEG), 256, 0.3)
+        quarter = reduced_sizing(ArrayConfig(16, 40 * DEG, spacing_ratio=0.25), 256, 0.3)
+        assert (half.n_sub, half.m_group) == (8, 128)
+        assert (quarter.n_sub, quarter.m_group) == (16, 256)
 
     def test_products_and_bounds(self):
         rng = np.random.default_rng(11)

@@ -100,6 +100,14 @@ class TestAnalyze:
         assert sizing["n_reduced"] == 4 and sizing["m_reduced"] == 4
         assert sizing["n_sub"] == 16 and sizing["m_group"] == 32
 
+    def test_default_stem_is_written(self, tmp_path, monkeypatch, capsys):
+        # "report" is also the default stem; spelled out it still writes
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["analyze", "--n", "16", "--theta-deg", "30", "--bw", "0.2",
+                        "--out", "report"])
+        assert code == EXIT_OK
+        assert json.loads((tmp_path / "report.json").read_text())["config"]["n"] == 16
+
     def test_broadside_is_config_error(self, capsys):
         code = run_cli(["analyze", "--n", "16", "--theta-deg", "0", "--bw", "0.2"])
         assert code == EXIT_CONFIG
@@ -230,6 +238,30 @@ class TestSweep:
         )
         payload = json.loads((tmp_path / "point.json").read_text())
         assert payload["overall_ssir_db"] == pytest.approx(ssir_cell, abs=5e-7)
+
+    def test_unexpected_cell_exception_is_recorded(self, tmp_path, monkeypatch, capsys):
+        import squintsim.cli as cli
+
+        run_point = cli._run_point
+
+        def failing(cfg):
+            if cfg["n"] == 4:
+                raise ValueError("cell blew up")
+            return run_point(cfg)
+
+        monkeypatch.setattr(cli, "_run_point", failing)
+        monkeypatch.setenv("SQUINTSIM_WORKERS", "1")
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(
+            "sweep_n = 2,4,8\nbw = 0.1\nsnr_db = inf\nn_symbols = 300\nformat = json\n"
+        )
+        out = str(tmp_path / "g")
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", out]) == EXIT_OK
+        cells = json.loads((tmp_path / "g.json").read_text())["cells"]
+        assert [c["error"] for c in cells] == ["", "ValueError: cell blew up", ""]
+        assert cells[1]["ssir_db"] is None and cells[1]["evm_db"] is None
+        assert all(np.isfinite(cells[i]["ssir_db"]) for i in (0, 2))
+        assert "cell blew up" in capsys.readouterr().err
 
     def test_sweep_without_axes_is_config_error(self, capsys):
         assert run_cli(["sweep", "--n", "4"]) == EXIT_CONFIG

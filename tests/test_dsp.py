@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (
     ComplexSignal,
@@ -310,3 +312,40 @@ class TestSignalSpec:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 SignalSpec(**{"fractional_bandwidth": 0.2, field: bad})
+
+
+# ---------------------------------------------------------------------------
+# Properties (derandomized, so the suite stays deterministic)
+# ---------------------------------------------------------------------------
+
+finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=200))
+def test_idft_inverts_dft_property(pairs):
+    x = np.array([complex(re, im) for re, im in pairs])
+    back = idft(dft(sig(x))).samples
+    assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(16, 300), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(0, 2**32))
+def test_fractional_delays_compose_property(length, a, b, seed):
+    # both steps and their sum stay strictly inside the length/4 limit
+    a, b = a * length / 9, b * length / 9
+    rng = np.random.default_rng(seed)
+    x = sig(rng.standard_normal(length) + 1j * rng.standard_normal(length))
+    twice = fractional_delay(fractional_delay(x, a), b).samples
+    once = fractional_delay(x, a + b).samples
+    assert np.max(np.abs(twice - once)) < 1e-10
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.sampled_from([4, 16, 64]).flatmap(
+    lambda order: st.tuples(st.just(order), st.lists(st.integers(0, order - 1), max_size=100))
+))
+def test_qam_demap_inverts_map_property(case):
+    order, indices = case
+    back = qam_demap(qam_map(indices, order), order)
+    assert np.array_equal(back, np.asarray(indices, dtype=np.int64))

@@ -144,6 +144,13 @@ class TestSingleCarrier:
 
 
 class TestOfdmChain:
+    def test_constellation_is_capped(self):
+        # 60 symbols x 128 tones = 7680 points, thinned to at most the cap
+        cfg = ArrayConfig(4, 30 * DEG)
+        spec = SignalSpec(0.1, oversample=4, seed=12)
+        report = run_ofdm(cfg, spec, OfdmSpec(128, n_ofdm_symbols=60), 20.0)
+        assert len(report.constellation) <= 4096
+
     def test_broadside_per_tone_evm_flat_at_array_gain(self):
         cfg = ArrayConfig(8, 0.0)
         spec = SignalSpec(0.2, oversample=4, seed=8)
