@@ -33,7 +33,6 @@ from .combine import (
     phase_sum,
     reduced_idft_combine,
     reduced_idft_weights,
-    write_weights_csv,
 )
 from .dsp import (
     ComplexSignal,

@@ -23,7 +23,6 @@ sequential results exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,12 +203,3 @@ def combine_branch_grids(
     out = np.einsum("gr,rjgk->jgk", weights.matrix, groups)
     return out.reshape(n_sym, m) / n_elements
 
-
-def write_weights_csv(weights: IdftWeights, path) -> None:
-    """Export weight phases in radians, one row per output stream."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_cols = weights.matrix.shape[1]
-        writer.writerow(["output"] + [f"el{n}" for n in range(n_cols)])
-        for r, row in enumerate(np.angle(weights.matrix)):
-            writer.writerow([r] + [f"{p:.9f}" for p in row])

@@ -12,42 +12,10 @@ import math
 from dataclasses import dataclass, field
 
 from .analytic import ArrayConfig
-from .combine import CombinerSpec, PHASE_SUM, FULL_IDFT, REDUCED_IDFT
+from .combine import _KINDS, CombinerSpec, PHASE_SUM, REDUCED_IDFT
 from .dsp import SignalSpec
 from .errors import ConfigError
 from .ofdm_spec import OfdmSpec
-
-_COMBINER_NAMES = {PHASE_SUM, FULL_IDFT, REDUCED_IDFT}
-
-# key: (parser, default)
-_SCHEMA: dict[str, tuple] = {
-    "n": (int, 8),
-    "theta_deg": (float, 30.0),
-    "spacing": (float, 0.5),
-    "bw": (float, 0.2),
-    "snr_db": ("snr", math.inf),
-    "combiner": ("combiner", PHASE_SUM),
-    "n_sub": (int, None),
-    "m_group": (int, None),
-    "carriers": (int, None),
-    "cp_num": (int, 2),
-    "n_ofdm_symbols": (int, 150),
-    "n_symbols": (int, 10_000),
-    "mod_order": (int, 16),
-    "rrc_rolloff": (float, 0.25),
-    "rrc_span": (int, 16),
-    "oversample": (int, 8),
-    "seed": (int, 0),
-    "sweep_n": ("int_list", None),
-    "sweep_theta_deg": ("float_list", None),
-    "sweep_bw": ("float_list", None),
-    "out": (str, "report"),
-    "format": ("format", "csv"),
-}
-
-# Keys that only say where and how a report is written; they never change a
-# result, so the config echo leaves them out.
-_OUTPUT_KEYS = frozenset({"out", "format"})
 
 
 def _finite_float(raw: str) -> float:
@@ -57,37 +25,66 @@ def _finite_float(raw: str) -> float:
     return value
 
 
-def _parse_value(key: str, raw, kind):
+def _snr(raw: str) -> float:
+    value = float(raw)
+    if math.isnan(value) or value == -math.inf:
+        raise ValueError("must be finite or 'inf'")
+    return value
+
+
+def _choice(names, message: str):
+    def parse(raw: str) -> str:
+        if raw not in names:
+            raise ValueError(message)
+        return raw
+    return parse
+
+
+def _list(item):
+    def parse(raw: str) -> list:
+        return [item(v) for v in raw.split(",") if v.strip()]
+    return parse
+
+
+# key: (parser of the stripped text, default)
+_SCHEMA: dict[str, tuple] = {
+    "n": (int, 8),
+    "theta_deg": (_finite_float, 30.0),
+    "spacing": (_finite_float, 0.5),
+    "bw": (_finite_float, 0.2),
+    "snr_db": (_snr, math.inf),
+    "combiner": (_choice(_KINDS, f"must be one of {sorted(_KINDS)}"), PHASE_SUM),
+    "n_sub": (int, None),
+    "m_group": (int, None),
+    "carriers": (int, None),
+    "cp_num": (int, 2),
+    "n_ofdm_symbols": (int, 150),
+    "n_symbols": (int, 10_000),
+    "mod_order": (int, 16),
+    "rrc_rolloff": (_finite_float, 0.25),
+    "rrc_span": (int, 16),
+    "oversample": (int, 8),
+    "seed": (int, 0),
+    "sweep_n": (_list(int), None),
+    "sweep_theta_deg": (_list(_finite_float), None),
+    "sweep_bw": (_list(_finite_float), None),
+    "out": (str, "report"),
+    "format": (_choice(("csv", "json"), "must be 'csv' or 'json'"), "csv"),
+}
+
+# Keys that only say where and how a report is written; they never change a
+# result, so the config echo leaves them out.
+_OUTPUT_KEYS = frozenset({"out", "format"})
+
+
+def _parse_value(key: str, raw, parse):
     if not isinstance(raw, str):
         return raw
     raw = raw.strip()
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return _finite_float(raw)
-        if kind is str:
-            return raw
-        if kind == "snr":
-            value = float(raw)
-            if math.isnan(value) or value == -math.inf:
-                raise ValueError("must be finite or 'inf'")
-            return value
-        if kind == "combiner":
-            if raw not in _COMBINER_NAMES:
-                raise ValueError(f"must be one of {sorted(_COMBINER_NAMES)}")
-            return raw
-        if kind == "format":
-            if raw not in ("csv", "json"):
-                raise ValueError("must be 'csv' or 'json'")
-            return raw
-        if kind == "int_list":
-            return [int(v) for v in raw.split(",") if v.strip()]
-        if kind == "float_list":
-            return [_finite_float(v) for v in raw.split(",") if v.strip()]
+        return parse(raw)
     except ValueError as exc:
         raise ConfigError(f"invalid value for '{key}': {raw!r} ({exc})") from None
-    raise ConfigError(f"unhandled kind for '{key}'")
 
 
 @dataclass
@@ -180,10 +177,6 @@ class ExperimentConfig:
                 continue
             out[k] = "inf" if isinstance(v, float) and math.isinf(v) else v
         return out
-
-    @classmethod
-    def from_dict(cls, values: dict) -> "ExperimentConfig":
-        return cls(dict(values))
 
 
 def parse_config_file(path) -> dict:

@@ -305,47 +305,46 @@ def awgn(signal: ComplexSignal, snr_db: float, seed) -> ComplexSignal:
 class EvmReport:
     """Error vector magnitude of a received symbol stream.
 
-    ``mer_db`` is always the negation of ``evm_db``. ``per_symbol_errors``
-    holds the fitted complex error samples when requested.
+    ``evm_db`` is a float for a 1-D stream and an array of one figure per
+    column for a (symbols x tones) grid. ``mer_db`` is always its negation.
     """
 
-    evm_db: float
-    mer_db: float = field(init=False)
-    per_symbol_errors: np.ndarray | None = None
+    evm_db: float | np.ndarray
+    mer_db: float | np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.mer_db = -self.evm_db
 
 
-def _evm_fit(rx: np.ndarray, ref: np.ndarray) -> tuple[complex, np.ndarray]:
-    # single complex least-squares scalar: minimizes ||c*rx - ref||^2
-    denom = np.vdot(rx, rx)
-    c = np.vdot(rx, ref) / denom
-    return c, c * rx - ref
+def _evm_fit(rx: np.ndarray, ref: np.ndarray) -> complex | np.ndarray:
+    # per column: the complex least-squares scalar minimizing ||c*rx - ref||^2;
+    # an all-zero column has no fit and gets c = 0, so its error is -ref
+    energy = np.sum(np.abs(rx) ** 2, axis=0)
+    return np.sum(rx.conj() * ref, axis=0) / np.where(energy > 0.0, energy, 1.0)
 
 
-def measure_evm(rx_symbols, ref_symbols, keep_errors: bool = False) -> EvmReport:
-    """RMS error vector magnitude after a single complex-scalar fit.
+def measure_evm(rx_symbols, ref_symbols) -> EvmReport:
+    """RMS error vector magnitude after a single complex-scalar fit per
+    column (axis 0).
 
     One amplitude-and-phase scalar is fitted from rx to ref by least
     squares, so bulk gain and rotation do not count as error while
-    per-symbol (or per-tone) variation does. A perfect match reports the
-    -120 dB floor rather than -inf.
+    per-symbol variation does. A 1-D stream is one column and gives a
+    float; a (symbols x tones) grid gives one figure per tone. A perfect
+    match reports the -120 dB floor rather than -inf, and an all-zero
+    column 0 dB (its error is the reference itself).
     """
     rx = _as_samples(rx_symbols)
     ref = _as_samples(ref_symbols)
-    if len(rx) != len(ref):
-        raise LengthMismatch(f"rx has {len(rx)} symbols, ref has {len(ref)}")
-    if len(ref) == 0:
+    if rx.shape != ref.shape:
+        raise LengthMismatch(f"rx has shape {rx.shape}, ref has shape {ref.shape}")
+    if ref.size == 0:
         raise LengthMismatch("empty symbol streams")
-    ref_power = np.mean(np.abs(ref) ** 2)
-    if ref_power == 0.0:
+    ref_power = np.mean(np.abs(ref) ** 2, axis=0)
+    if np.any(ref_power == 0.0):
         raise ZeroReference("reference has zero power")
-    if not np.any(rx):
-        # degenerate all-zero rx: no scalar can fit, error equals reference
-        return EvmReport(0.0, per_symbol_errors=-ref if keep_errors else None)
-    _, err = _evm_fit(rx, ref)
-    evm_lin_sq = np.mean(np.abs(err) ** 2) / ref_power
-    evm_db = 10.0 * np.log10(evm_lin_sq) if evm_lin_sq > 0 else -np.inf
-    evm_db = max(evm_db, EVM_FLOOR_DB)
-    return EvmReport(float(evm_db), per_symbol_errors=err if keep_errors else None)
+    err = _evm_fit(rx, ref) * rx - ref
+    evm_lin_sq = np.mean(np.abs(err) ** 2, axis=0) / ref_power
+    with np.errstate(divide="ignore"):
+        evm_db = np.maximum(10.0 * np.log10(evm_lin_sq), EVM_FLOOR_DB)
+    return EvmReport(evm_db if evm_db.ndim else float(evm_db))

@@ -75,9 +75,9 @@ class SimReport:
     """Outcome of one simulated link.
 
     ``constellation`` holds fitted received symbols next to their
-    references, shape (K, 2) complex. ``analytic`` echoes the closed-form
-    predictions for the same configuration; ``config`` echoes the resolved
-    run parameters.
+    references, shape (K, 2) complex, thinned evenly to at most 4096 rows.
+    ``analytic`` echoes the closed-form predictions for the same
+    configuration; ``config`` echoes the resolved run parameters.
     """
 
     overall_evm_db: float
@@ -159,13 +159,16 @@ def _add_receiver_noise(clean: np.ndarray, cfg: ArrayConfig, spec: SignalSpec,
     return clean + complex_noise(clean.shape, variance, derive_seed(spec.seed, 1))
 
 
-def _fitted_constellation(rx: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    c, _ = _evm_fit(rx, ref)
-    k = min(len(rx), _CONSTELLATION_CAP)
-    out = np.empty((k, 2), dtype=np.complex128)
-    out[:, 0] = (c * rx)[:k]
-    out[:, 1] = ref[:k]
-    return out
+def _score(ref: np.ndarray, rx_clean: np.ndarray, rx: np.ndarray, snr_db: float):
+    """SSIR and EVM of the combiner output, fitted per column (scalars for a
+    symbol stream, per-tone arrays for a tone grid), and its constellation:
+    the fitted symbols ``c·rx`` next to their references, raveled and
+    thinned evenly to at most ``_CONSTELLATION_CAP`` rows."""
+    ssir_db = measure_evm(rx_clean, ref).mer_db
+    evm_db = -ssir_db if np.isinf(snr_db) else measure_evm(rx, ref).evm_db
+    fitted, ref = (_evm_fit(rx, ref) * rx).ravel(), ref.ravel()
+    stride = -(-len(ref) // _CONSTELLATION_CAP)  # ceiling: at most the cap
+    return ssir_db, evm_db, np.stack([fitted[::stride], ref[::stride]], axis=1)
 
 
 def _rms_db(values_db: np.ndarray) -> float:
@@ -230,14 +233,12 @@ def run_single_carrier(
     if combiner.kind != PHASE_SUM:
         raise CombinerRequiresOfdm("IDFT combining requires the OFDM chain")
     _check_snr(snr_db)
-    symbols, rx_clean, rx = _sc_receive(cfg, spec, snr_db)
-    ssir_db = measure_evm(rx_clean, symbols).mer_db
-    evm_db = -ssir_db if np.isinf(snr_db) else measure_evm(rx, symbols).evm_db
+    ssir_db, evm_db, constellation = _score(*_sc_receive(cfg, spec, snr_db), snr_db)
     return SimReport(
         overall_evm_db=evm_db,
         overall_ssir_db=ssir_db,
         per_tone=None,
-        constellation=_fitted_constellation(rx, symbols),
+        constellation=constellation,
         analytic=analytic.report(cfg, spec.fractional_bandwidth),
         config={},
     )
@@ -260,12 +261,6 @@ def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig):
         [np.zeros(guard, np.complex128), frame, np.zeros(guard, np.complex128)]
     )
     return ComplexSignal(padded, sample_rate=float(q)), grid, guard
-
-
-def _per_tone_evm(rx_grid: np.ndarray, ref_grid: np.ndarray) -> np.ndarray:
-    return np.array(
-        [measure_evm(rx_grid[:, m], ref_grid[:, m]).evm_db for m in range(rx_grid.shape[1])]
-    )
 
 
 def _ofdm_receive(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, snr_db: float,
@@ -304,21 +299,13 @@ def run_ofdm(
     the noiseless output.
     """
     _check_snr(snr_db)
-    ref_grid, rx_clean, rx = _ofdm_receive(cfg, spec, ofdm, snr_db, combiner)
-    ssir_tones = -_per_tone_evm(rx_clean, ref_grid)
-    evm_tones = -ssir_tones if np.isinf(snr_db) else _per_tone_evm(rx, ref_grid)
+    ssir_tones, evm_tones, constellation = _score(
+        *_ofdm_receive(cfg, spec, ofdm, snr_db, combiner), snr_db
+    )
     per_tone = [
         ToneMetrics(m, float(evm_tones[m]), float(ssir_tones[m]))
         for m in range(ofdm.m_carriers)
     ]
-    # constellation from per-tone fitted symbols, subsampled evenly
-    fitted = np.empty_like(rx)
-    for m in range(ofdm.m_carriers):
-        c, _ = _evm_fit(rx[:, m], ref_grid[:, m])
-        fitted[:, m] = c * rx[:, m]
-    flat_rx, flat_ref = fitted.ravel(), ref_grid.ravel()
-    stride = -(-len(flat_rx) // _CONSTELLATION_CAP)  # ceiling: at most the cap
-    constellation = np.stack([flat_rx[::stride], flat_ref[::stride]], axis=1)
     return SimReport(
         overall_evm_db=float(_rms_db(evm_tones)),
         overall_ssir_db=float(-_rms_db(-ssir_tones)),

@@ -188,7 +188,7 @@ class TestSimulate:
         payload = json.loads((tmp_path / "sim.json").read_text())
         from squintsim.cli import _run_point
 
-        report = _run_point(ExperimentConfig.from_dict(payload["config"]))
+        report = _run_point(ExperimentConfig(payload["config"]))
         assert report.overall_evm_db == payload["overall_evm_db"]
         assert report.overall_ssir_db == payload["overall_ssir_db"]
 
@@ -262,6 +262,27 @@ class TestSweep:
         assert cells[1]["ssir_db"] is None and cells[1]["evm_db"] is None
         assert all(np.isfinite(cells[i]["ssir_db"]) for i in (0, 2))
         assert "cell blew up" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            "sweep_n = 2,4\nsweep_theta_deg = 20,40\nsweep_bw = 0.1,0.2\n"
+            "n_symbols = 300\nformat = json\n",
+            "sweep_n = 4,8\nsweep_theta_deg = 30,45\ncarriers = 16\n"
+            "n_ofdm_symbols = 8\ncombiner = reduced\nformat = csv\n",
+        ],
+    )
+    def test_report_independent_of_worker_count(self, tmp_path, monkeypatch, grid):
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(grid + "snr_db = 20\nseed = 3\n")
+        reports = []
+        for workers in ("1", "4"):
+            monkeypatch.setenv("SQUINTSIM_WORKERS", workers)
+            out = tmp_path / f"w{workers}"
+            assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+            (report,) = tmp_path.glob(f"w{workers}.*")
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_sweep_without_axes_is_config_error(self, capsys):
         assert run_cli(["sweep", "--n", "4"]) == EXIT_CONFIG

@@ -18,7 +18,6 @@ from squintsim import (
     reduced_idft_combine,
     reduced_idft_weights,
     space_factor_at_steer,
-    write_weights_csv,
 )
 from squintsim.combine import presum_subarrays
 from squintsim.errors import IndivisibleSizing
@@ -208,20 +207,3 @@ class TestCombinerSpec:
         ofdm = OfdmSpec(128)
         assert CombinerSpec.phase_shifter_sum().resolve_sizing(cfg, ofdm, 0.2) == (64, 128)
         assert CombinerSpec.full_idft().resolve_sizing(cfg, ofdm, 0.2) == (1, 1)
-
-
-class TestWeightsCsv:
-    def test_export_round_trips_phases(self, tmp_path):
-        cfg = ArrayConfig(4, 30 * DEG)
-        spec = SignalSpec(0.2, seed=0)
-        ofdm = OfdmSpec(8)
-        w = full_idft_weights(cfg, spec, ofdm)
-        path = tmp_path / "weights.csv"
-        write_weights_csv(w, path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "output,el0,el1,el2,el3"
-        assert len(rows) == 9
-        phases = np.array(
-            [[float(v) for v in row.split(",")[1:]] for row in rows[1:]]
-        )
-        assert np.allclose(phases, np.angle(w.matrix), atol=1e-8)

@@ -19,6 +19,7 @@ from squintsim import (
     qam_map,
     rrc_taps,
 )
+from squintsim.dsp import EVM_FLOOR_DB
 from squintsim.errors import (
     DelayTooLarge,
     InvalidOrder,
@@ -349,3 +350,22 @@ def test_qam_demap_inverts_map_property(case):
     order, indices = case
     back = qam_demap(qam_map(indices, order), order)
     assert np.array_equal(back, np.asarray(indices, dtype=np.int64))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(st.integers(1, 60), st.integers(3, 8), st.floats(0.0, 2.0), st.integers(0, 2**32))
+def test_measure_evm_fits_each_column_property(n_symbols, n_tones, noise, seed):
+    rng = np.random.default_rng(seed)
+    shape = (n_symbols, n_tones)
+    ref = qam_map(rng.integers(0, 16, shape).ravel(), 16).samples.reshape(shape)
+    gains = rng.standard_normal(n_tones) + 1j * rng.standard_normal(n_tones)
+    rx = gains * ref + noise * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    rx[:, 0] = 0.0  # no fit: the error is the reference itself
+    rx[:, 1] = 1.5j * ref[:, 1]  # exact fit
+    grid = measure_evm(rx, ref)
+    columns = [measure_evm(rx[:, m], ref[:, m]) for m in range(n_tones)]
+    assert all(isinstance(col.evm_db, float) for col in columns)
+    assert np.allclose(grid.evm_db, [col.evm_db for col in columns], rtol=0.0, atol=1e-9)
+    assert np.array_equal(grid.mer_db, -grid.evm_db)
+    assert grid.evm_db[0] == 0.0
+    assert grid.evm_db[1] == EVM_FLOOR_DB

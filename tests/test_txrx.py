@@ -16,6 +16,7 @@ from squintsim import (
     run_single_carrier,
 )
 from squintsim.errors import CombinerRequiresOfdm, DimensionMismatch
+from squintsim.txrx import _sc_transmit
 
 DEG = np.pi / 180.0
 
@@ -141,6 +142,32 @@ class TestSingleCarrier:
         report = run_single_carrier(cfg, spec, 15.0)
         assert report.constellation.shape[1] == 2
         assert len(report.constellation) == 500
+
+    def test_constellation_is_thinned_across_the_stream(self):
+        # 10 000 symbols keep every third, up to the last ones, rather than
+        # the first 4096
+        cfg = ArrayConfig(4, 30 * DEG)
+        spec = SignalSpec(0.1, n_symbols=10_000, oversample=4, seed=7)
+        report = run_single_carrier(cfg, spec, 15.0)
+        symbols = _sc_transmit(spec, cfg)[1]
+        rows = len(report.constellation)
+        assert rows <= 4096
+        assert np.array_equal(report.constellation[:, 1], symbols[::3])
+        assert 3 * (rows - 1) >= 9990
+
+    @pytest.mark.parametrize(
+        "a, b", [((64, 45, 0.2), (256, 45, 0.05)), ((32, 30, 0.1), (16, 30, 0.2))]
+    )
+    def test_ssir_depends_on_n_bw_sin_theta_only(self, a, b):
+        # the delay spread across the array in symbols, N·BW·sin(theta),
+        # sets the clean SSIR
+        ssir = [
+            run_single_carrier(
+                ArrayConfig(n, theta * DEG), SignalSpec(bw, n_symbols=2000, seed=1), np.inf
+            ).overall_ssir_db
+            for n, theta, bw in (a, b)
+        ]
+        assert ssir[0] == pytest.approx(ssir[1], abs=0.05)
 
 
 class TestOfdmChain:
