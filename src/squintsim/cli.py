@@ -6,8 +6,12 @@ Subcommands:
   report.
 * ``simulate``: run one link simulation, writing a JSON report plus
   per-tone and constellation CSVs.
-* ``sweep``: run a grid of (N, theta, BW) cells into one CSV, cells
-  distributed over a process pool sized by ``SQUINTSIM_WORKERS``.
+* ``sweep``: run a grid of (N, theta, BW) cells into one CSV or JSON
+  report, cells distributed over a process pool sized by
+  ``SQUINTSIM_WORKERS``. A CSV report leaves a failed cell's figures blank
+  and lists the failed cells with their errors in ``<out>_errors.csv``,
+  written only when a cell fails (and removed, if an earlier run left it,
+  when none does).
 
 Exit codes: 0 success, 2 configuration error, 3 runtime failure. All
 outputs are deterministic for a fixed seed, whatever the output path
@@ -17,12 +21,12 @@ outputs are deterministic for a fixed seed, whatever the output path
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__, analytic
@@ -113,6 +117,21 @@ def _run_point(cfg: ExperimentConfig) -> SimReport:
     return report
 
 
+def _csv_field(text: str) -> str:
+    # csv.writer's minimal quoting: only a field holding a comma, a quote or
+    # a line break is quoted, with its quotes doubled
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
+    """Write the header and the pre-formatted rows in one call, each line
+    ended by CRLF as csv.writer ends them."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([header, *lines]) + "\r\n")
+
+
 def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
     written = []
     payload = {
@@ -128,22 +147,17 @@ def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
     written.append(path)
     if report.per_tone is not None:
         path = f"{out}_tones.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["tone", "evm_db", "ssir_db"])
-            for tone in report.per_tone:
-                writer.writerow(
-                    [tone.tone_index, f"{tone.evm_db:.6f}", f"{tone.ssir_db:.6f}"]
-                )
+        _write_csv(path, "tone,evm_db,ssir_db", (
+            "%d,%.6f,%.6f" % (tone.tone_index, tone.evm_db, tone.ssir_db)
+            for tone in report.per_tone
+        ))
         written.append(path)
     path = f"{out}_constellation.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["re", "im", "ref_re", "ref_im"])
-        for rx, ref in report.constellation:
-            writer.writerow(
-                [f"{rx.real:.9f}", f"{rx.imag:.9f}", f"{ref.real:.9f}", f"{ref.imag:.9f}"]
-            )
+    # rows of [re, im, ref_re, ref_im] as plain floats
+    _write_csv(path, "re,im,ref_re,ref_im", (
+        "%.9f,%.9f,%.9f,%.9f" % (re, im, ref_re, ref_im)
+        for re, im, ref_re, ref_im in report.constellation.view("f8").tolist()
+    ))
     written.append(path)
     return written
 
@@ -229,29 +243,40 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             }
         )
         if error:
-            print(f"cell {values['n']}/{values['theta_deg']}: {error}", file=sys.stderr)
+            print(
+                f"cell {values['n']}/{values['theta_deg']}/{values['bw']}: {error}",
+                file=sys.stderr,
+            )
     out = cfg["out"]
     if cfg["format"] == "json":
-        path = f"{out}.json"
+        written = [f"{out}.json"]
         text = _json_text({"config": cfg.echo(), "version": __version__, "cells": rows})
-        with open(path, "w") as fh:
+        with open(written[0], "w") as fh:
             fh.write(text + "\n")
     else:
-        path = f"{out}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_elements", "theta_deg", "bw_frac", "ssir_db", "evm_db"])
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["n_elements"],
-                        row["theta_deg"],
-                        row["bw_frac"],
-                        "" if row["ssir_db"] is None else f"{row['ssir_db']:.6f}",
-                        "" if row["evm_db"] is None else f"{row['evm_db']:.6f}",
-                    ]
-                )
-    print(path)
+        written = [f"{out}.csv"]
+        _write_csv(written[0], "n_elements,theta_deg,bw_frac,ssir_db,evm_db", (
+            "%d,%r,%r,%s,%s" % (
+                row["n_elements"], row["theta_deg"], row["bw_frac"],
+                "" if row["ssir_db"] is None else "%.6f" % row["ssir_db"],
+                "" if row["evm_db"] is None else "%.6f" % row["evm_db"],
+            )
+            for row in rows
+        ))
+        failed = [row for row in rows if row["error"]]
+        errors = f"{out}_errors.csv"
+        if failed:
+            # the failed cells and why, beside the report and never in it
+            written.append(errors)
+            _write_csv(errors, "n_elements,theta_deg,bw_frac,error", (
+                "%d,%r,%r,%s" % (row["n_elements"], row["theta_deg"], row["bw_frac"],
+                                 _csv_field(row["error"]))
+                for row in failed
+            ))
+        elif os.path.exists(errors):
+            os.remove(errors)  # left by an earlier run: these cells all succeeded
+    for path in written:
+        print(path)
     print(f"{len(rows)} cells ({time.monotonic() - start:.1f} s)", file=sys.stderr)
     return EXIT_OK
 

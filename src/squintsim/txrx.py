@@ -175,13 +175,32 @@ def _rms_db(values_db: np.ndarray) -> float:
     return 10.0 * math.log10(np.mean(10.0 ** (np.asarray(values_db) / 10.0)))
 
 
+def _smooth_length(n: int) -> int:
+    """The least 7-smooth integer >= n (no prime factor above 7): a length
+    numpy's FFT splits into radices 2, 3, 5 and 7 instead of taking its
+    slower Bluestein path."""
+    best = 1 << (n - 1).bit_length()
+    odd7 = 1
+    while odd7 < best:
+        odd5 = odd7
+        while odd5 < best:
+            odd = odd5
+            while odd < best:  # odd = 3^a 5^b 7^c; take the least odd * 2^k >= n
+                best = min(best, odd << (-(-n // odd) - 1).bit_length())
+                odd *= 3
+            odd5 *= 5
+        odd7 *= 7
+    return best
+
+
 # ---------------------------------------------------------------------------
 # Single-carrier chain
 # ---------------------------------------------------------------------------
 
 def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.ndarray, slice]:
     """Symbol impulses on a zero-guarded grid, the symbols, and the slice of
-    the impulse instants (where the zero-phase RRC cascade peaks)."""
+    the impulse instants (where the zero-phase RRC cascade peaks). Trailing
+    zeros pad the grid to a 7-smooth length, so its FFTs stay fast."""
     rng = np.random.default_rng(spec.seed)
     indices = rng.integers(0, spec.modulation_order, spec.n_symbols)
     symbols = qam_map(indices, spec.modulation_order).samples
@@ -191,7 +210,8 @@ def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.
     # room for half an RRC span on either side of the guarded symbols
     first = guard_syms * os + spec.rrc_span * os // 2
     instants = slice(first, first + spec.n_symbols * os, os)
-    up = np.zeros((spec.n_symbols + 2 * guard_syms + spec.rrc_span) * os, dtype=np.complex128)
+    length = (spec.n_symbols + 2 * guard_syms + spec.rrc_span) * os
+    up = np.zeros(_smooth_length(length), dtype=np.complex128)
     up[instants] = symbols
     return ComplexSignal(up, sample_rate=float(os)), symbols, instants
 
@@ -249,6 +269,9 @@ def run_single_carrier(
 # ---------------------------------------------------------------------------
 
 def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig):
+    """The cyclic-prefixed frame between zero guards, the transmitted grid,
+    and the leading guard length. The trailing zeros, at least one guard,
+    pad the frame to a 7-smooth length, so its FFTs stay fast."""
     rng = np.random.default_rng(spec.seed)
     shape = (ofdm.n_ofdm_symbols, ofdm.m_carriers)
     indices = rng.integers(0, spec.modulation_order, shape)
@@ -257,9 +280,8 @@ def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig):
     frame = ofdm_modulate(grid, ofdm, q).samples
     spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, q))
     guard = int(np.ceil(spread)) + 16
-    padded = np.concatenate(
-        [np.zeros(guard, np.complex128), frame, np.zeros(guard, np.complex128)]
-    )
+    padded = np.zeros(_smooth_length(len(frame) + 2 * guard), np.complex128)
+    padded[guard:guard + len(frame)] = frame
     return ComplexSignal(padded, sample_rate=float(q)), grid, guard
 
 

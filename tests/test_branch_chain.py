@@ -150,6 +150,42 @@ class TestToneGridEquivalence:
         assert np.max(np.abs(clean - expected)) < 1e-9
 
 
+class TestSmoothPadding:
+    """The trailing zeros that pad the OFDM frame to a 7-smooth length leave
+    the clean grid alone: the per-element reference run on the frame cut
+    back to one trailing guard (the unpadded layout) agrees within 1e-6.
+    The ofdm_combiners benchmark config, whose 62468-sample frame pads to
+    62500."""
+
+    cfg = ArrayConfig(32, 45 * DEG)
+    spec = SignalSpec(0.2, oversample=8, seed=23)
+    ofdm = OfdmSpec(128, n_ofdm_symbols=60)
+
+    @pytest.fixture(scope="class")
+    def unpadded(self):
+        tx, _, guard = _ofdm_transmit(self.spec, self.ofdm, self.cfg)
+        frame = self.ofdm.n_ofdm_symbols * (self.ofdm.m_carriers + self.ofdm.cp_ratio_num) * 8
+        end = guard + frame + guard
+        assert len(tx) > end
+        cut = ComplexSignal(tx.samples[:end], tx.sample_rate)
+        return oracle_streams(cut, self.cfg, self.spec), guard
+
+    @pytest.mark.parametrize(
+        "combiner, kind",
+        [
+            (CombinerSpec.phase_shifter_sum(), "ps"),
+            (CombinerSpec.full_idft(), "idft"),
+            (CombinerSpec.reduced_idft(), "reduced"),
+        ],
+    )
+    def test_clean_grid_matches_unpadded_reference(self, unpadded, combiner, kind):
+        sizing = combiner.resolve_sizing(self.cfg, self.ofdm, 0.2) if kind == "reduced" else None
+        streams, guard = unpadded
+        expected = oracle_grid(streams, guard, self.ofdm, 8, kind, sizing)
+        _, clean, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, np.inf, combiner)
+        assert np.max(np.abs(clean - expected)) < 1e-6
+
+
 def element_noise_variance(tx, snr_db, oversample):
     """Per-element, per-sample noise power of the element-level model."""
     snr_ps = snr_db - 10.0 * math.log10(oversample)

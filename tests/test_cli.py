@@ -1,12 +1,20 @@
 """Command-line harness tests: config parsing, outputs, determinism."""
 
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from squintsim import derive_seed
-from squintsim.cli import EXIT_CONFIG, EXIT_OK, main
+from squintsim import (
+    ArrayConfig,
+    OfdmSpec,
+    SignalSpec,
+    derive_seed,
+    run_ofdm,
+    run_single_carrier,
+)
+from squintsim.cli import EXIT_CONFIG, EXIT_OK, _write_simulate_outputs, main
 from squintsim.config import ExperimentConfig, parse_config_file
 from squintsim.errors import ConfigError
 
@@ -193,6 +201,45 @@ class TestSimulate:
         assert report.overall_ssir_db == payload["overall_ssir_db"]
 
 
+def csv_writer_oracle(report, out):
+    """The report CSVs as csv.writer writes them, one numpy scalar at a time."""
+    if report.per_tone is not None:
+        with open(f"{out}_tones.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["tone", "evm_db", "ssir_db"])
+            for tone in report.per_tone:
+                writer.writerow([tone.tone_index, f"{tone.evm_db:.6f}", f"{tone.ssir_db:.6f}"])
+    with open(f"{out}_constellation.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["re", "im", "ref_re", "ref_im"])
+        for rx, ref in report.constellation:
+            writer.writerow(
+                [f"{rx.real:.9f}", f"{rx.imag:.9f}", f"{ref.real:.9f}", f"{ref.imag:.9f}"]
+            )
+
+
+class TestReportCsv:
+    @pytest.mark.parametrize("link", ["sc", "ofdm"])
+    def test_bytes_match_csv_writer(self, tmp_path, link):
+        cfg, spec = ArrayConfig(8, 0.5), SignalSpec(0.2, n_symbols=300, oversample=4, seed=4)
+        if link == "sc":
+            report = run_single_carrier(cfg, spec, 20.0)
+        else:
+            report = run_ofdm(cfg, spec, OfdmSpec(16, n_ofdm_symbols=6), 20.0)
+            report.per_tone[0].evm_db = -0.0
+            report.per_tone[1].ssir_db = -1e-9  # rounds to -0.000000
+        # signed zeros and tiny negatives that round to -0.000000000
+        report.constellation[0] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
+        report.constellation[1] = [complex(-1e-12, -3.5), complex(-1.0, 1e-12)]
+        _write_simulate_outputs(report, str(tmp_path / "new"))
+        csv_writer_oracle(report, str(tmp_path / "old"))
+        suffixes = ["_constellation.csv"] + (["_tones.csv"] if link == "ofdm" else [])
+        for suffix in suffixes:
+            new = (tmp_path / f"new{suffix}").read_bytes()
+            assert new == (tmp_path / f"old{suffix}").read_bytes()
+            assert b"-0.000000" in new
+
+
 class TestSweep:
     def test_grid_csv_schema_and_determinism(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
@@ -262,6 +309,80 @@ class TestSweep:
         assert cells[1]["ssir_db"] is None and cells[1]["evm_db"] is None
         assert all(np.isfinite(cells[i]["ssir_db"]) for i in (0, 2))
         assert "cell blew up" in capsys.readouterr().err
+
+    def test_failed_cells_go_to_errors_sidecar(self, tmp_path, capsys):
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(
+            "sweep_n = 8,12\nsweep_theta_deg = 30\nsweep_bw = 0.1,0.2\ncarriers = 16\n"
+            "n_ofdm_symbols = 8\ncombiner = reduced\nn_sub = 3\nsnr_db = inf\n"
+        )
+        out = tmp_path / "g"
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_OK
+        lines = (tmp_path / "g.csv").read_text().splitlines()
+        assert lines[0] == "n_elements,theta_deg,bw_frac,ssir_db,evm_db"
+        assert lines[1:3] == ["8,30.0,0.1,,", "8,30.0,0.2,,"]
+        with open(tmp_path / "g_errors.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        error = "IndivisibleSizing: n_sub = 3 must divide N = 8"
+        assert rows == [
+            ["n_elements", "theta_deg", "bw_frac", "error"],
+            ["8", "30.0", "0.1", error],
+            ["8", "30.0", "0.2", error],
+        ]
+        stderr = capsys.readouterr().err
+        assert f"cell 8/30.0/0.1: {error}" in stderr
+        assert f"cell 8/30.0/0.2: {error}" in stderr
+
+    def test_no_sidecar_without_failures(self, tmp_path):
+        # a sidecar left by an earlier run of the same stem goes too
+        (tmp_path / "g_errors.csv").write_text("n_elements,theta_deg,bw_frac,error\r\n")
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text("sweep_n = 2,4\nbw = 0.1\nsnr_db = inf\nn_symbols = 300\n")
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "g")]) == EXIT_OK
+        assert [p.name for p in tmp_path.glob("g*")] == ["g.csv"]
+
+    def test_sweep_csv_matches_csv_writer(self, tmp_path, monkeypatch):
+        # the sweep CSV and its sidecar match csv.writer byte for byte; an
+        # error text with a comma, quotes and a line break is quoted as
+        # csv.writer quotes it
+        import squintsim.cli as cli
+
+        run_point = cli._run_point
+        error = 'bad, "odd"\nvalue'
+
+        def failing(cfg):
+            if cfg["n"] == 4:
+                raise ValueError(error)
+            return run_point(cfg)
+
+        monkeypatch.setattr(cli, "_run_point", failing)
+        monkeypatch.setenv("SQUINTSIM_WORKERS", "1")
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text(
+            "sweep_n = 2,4\nsweep_theta_deg = 20,40\nbw = 0.1\nsnr_db = 20\n"
+            "n_symbols = 300\nformat = json\n"
+        )
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "g")]) == EXIT_OK
+        cells = json.loads((tmp_path / "g.json").read_text())["cells"]
+        cfgfile.write_text(cfgfile.read_text().replace("json", "csv"))
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(tmp_path / "g")]) == EXIT_OK
+        with open(tmp_path / "old.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n_elements", "theta_deg", "bw_frac", "ssir_db", "evm_db"])
+            for c in cells:
+                writer.writerow([c["n_elements"], c["theta_deg"], c["bw_frac"]] + [
+                    "" if c[k] is None else f"{c[k]:.6f}" for k in ("ssir_db", "evm_db")
+                ])
+        with open(tmp_path / "old_errors.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["n_elements", "theta_deg", "bw_frac", "error"])
+            for c in cells:
+                if c["error"]:
+                    writer.writerow([c["n_elements"], c["theta_deg"], c["bw_frac"], c["error"]])
+        assert [c["error"] for c in cells].count(f"ValueError: {error}") == 2
+        for suffix in (".csv", "_errors.csv"):
+            new = (tmp_path / f"g{suffix}").read_bytes()
+            assert new == (tmp_path / f"old{suffix}").read_bytes()
 
     @pytest.mark.parametrize(
         "grid",

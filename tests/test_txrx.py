@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from squintsim import (
     ArrayConfig,
@@ -16,7 +18,8 @@ from squintsim import (
     run_single_carrier,
 )
 from squintsim.errors import CombinerRequiresOfdm, DimensionMismatch
-from squintsim.txrx import _sc_transmit
+from squintsim.txrx import _ofdm_transmit, _sc_transmit, _smooth_length
+from squintsim.wavefront import element_delay_samples
 
 DEG = np.pi / 180.0
 
@@ -264,3 +267,65 @@ class TestNegativeSteering:
         pos = run_single_carrier(ArrayConfig(64, 60 * DEG), spec, np.inf)
         neg = run_single_carrier(ArrayConfig(64, -60 * DEG), spec, np.inf)
         assert neg.overall_ssir_db == pytest.approx(pos.overall_ssir_db, abs=1e-6)
+
+
+def is_7_smooth(n):
+    for p in (2, 3, 5, 7):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def least_7_smooth(n):
+    """Brute force: count up from n to the first 7-smooth integer."""
+    while not is_7_smooth(n):
+        n += 1
+    return n
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 100_000))
+@example(1)
+@example(62468)  # the ofdm_combiners benchmark frame
+@example(80464)  # the sc_link benchmark frame
+def test_smooth_length_is_least_7_smooth_property(n):
+    assert _smooth_length(n) == least_7_smooth(n)
+
+
+class TestSmoothFrames:
+    """Trailing zeros pad both transmit frames to a 7-smooth length; the
+    leading guard, the symbol instants and the OFDM frame stay where the
+    unpadded layout put them. Configs of the benchmark workloads
+    (ofdm_combiners, sc_link, the largest OFDM cell of ssir_sweep)."""
+
+    @pytest.mark.parametrize(
+        "n, theta, bw, m, n_sym, length",
+        [(32, 45, 0.2, 128, 60, 62468), (32, 60, 0.2, 64, 40, 21196)],
+    )
+    def test_ofdm_frame_layout(self, n, theta, bw, m, n_sym, length):
+        cfg, spec = ArrayConfig(n, theta * DEG), SignalSpec(bw, oversample=8, seed=5)
+        ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym)
+        tx, grid, guard = _ofdm_transmit(spec, ofdm, cfg)
+        spread = (n - 1) * abs(element_delay_samples(cfg, spec, 8))
+        assert guard == int(np.ceil(spread)) + 16
+        frame = ofdm_modulate(grid, ofdm, 8).samples
+        assert len(frame) == n_sym * (m + ofdm.cp_ratio_num) * 8
+        assert len(frame) + 2 * guard == length
+        assert len(tx) == least_7_smooth(length)
+        assert np.array_equal(tx.samples[guard:guard + len(frame)], frame)
+        assert not np.any(tx.samples[:guard]) and not np.any(tx.samples[guard + len(frame):])
+
+    def test_single_carrier_frame_layout(self):
+        cfg, spec = ArrayConfig(32, 30 * DEG), SignalSpec(0.1, n_symbols=10_000, seed=5)
+        tx, symbols, instants = _sc_transmit(spec, cfg)
+        os, span = spec.oversample, spec.rrc_span
+        spread = (32 - 1) * abs(element_delay_samples(cfg, spec, os))
+        guard_syms = int(np.ceil(spread / os)) + span + 4
+        first = guard_syms * os + span * os // 2
+        assert instants == slice(first, first + 10_000 * os, os)
+        length = (10_000 + 2 * guard_syms + span) * os
+        assert length == 80464
+        assert len(tx) == least_7_smooth(length)
+        impulses = np.zeros(len(tx), dtype=complex)
+        impulses[instants] = symbols
+        assert np.array_equal(tx.samples, impulses)
