@@ -28,10 +28,7 @@ from .analytic import (
 from .combine import (
     CombinerSpec,
     IdftWeights,
-    full_idft_combine,
     full_idft_weights,
-    phase_sum,
-    reduced_idft_combine,
     reduced_idft_weights,
 )
 from .dsp import (
@@ -41,9 +38,7 @@ from .dsp import (
     awgn,
     constellation,
     derive_seed,
-    dft,
     fractional_delay,
-    idft,
     measure_evm,
     qam_demap,
     qam_map,

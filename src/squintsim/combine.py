@@ -12,9 +12,8 @@ All three are one kernel: the phase-shifter sum is the reduced IDFT at
 sizing (N, M) and the full IDFT is sizing (1, 1), which
 :meth:`CombinerSpec.resolve_sizing` returns. The OFDM chain applies that
 kernel in the tone domain (:func:`combine_branch_grids`) to the demodulated
-branch streams; the DFT is linear, so this equals the time-domain
-combiners below (:func:`phase_sum`, :func:`full_idft_combine`,
-:func:`reduced_idft_combine`), which stay as the reference.
+branch streams; the DFT is linear, so this equals combining the element
+streams in the time domain, which the tests keep as the reference.
 
 Weight generation and per-output combining are independent per output row;
 combining uses fixed-order numpy reductions so parallel callers reproduce
@@ -28,10 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytic import ArrayConfig, reduced_sizing
-from .dsp import ComplexSignal, SignalSpec
+from .dsp import SignalSpec
 from .errors import IndivisibleSizing
 from .ofdm_spec import OfdmSpec
-from .wavefront import ElementStreams
 
 PHASE_SUM = "ps"
 FULL_IDFT = "idft"
@@ -137,53 +135,6 @@ def _check_divisible(cfg: ArrayConfig, ofdm: OfdmSpec, n_sub: int, m_group: int)
         raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {cfg.n_elements}")
     if m_group < 1 or ofdm.m_carriers % m_group:
         raise IndivisibleSizing(f"m_group = {m_group} must divide M = {ofdm.m_carriers}")
-
-
-def phase_sum(streams: ElementStreams) -> ComplexSignal:
-    """Elementwise sum over the array divided by N, so a coherent
-    narrowband broadside signal combines with unit gain."""
-    return ComplexSignal(streams.streams.mean(axis=0), sample_rate=streams.sample_rate)
-
-
-def full_idft_combine(streams: ElementStreams, ofdm: OfdmSpec) -> list[ComplexSignal]:
-    """Produce the M output streams of the full combiner.
-
-    Output m is meaningful only at tone m; the OFDM demodulator keeps just
-    that tone from each stream. Row m0 has all-ones weights and equals the
-    plain phase-shifter sum.
-    """
-    w = full_idft_weights(streams.cfg, streams.spec, ofdm)
-    out = w.matrix @ streams.streams / streams.n_elements
-    return [ComplexSignal(row, sample_rate=streams.sample_rate) for row in out]
-
-
-def presum_subarrays(streams: ElementStreams, n_sub: int) -> np.ndarray:
-    """Stage one of the reduced combiner: sum contiguous blocks of
-    ``n_sub`` elements into N_r branch streams (no normalization)."""
-    if streams.n_elements % n_sub:
-        raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {streams.n_elements}")
-    n_r = streams.n_elements // n_sub
-    return streams.streams.reshape(n_r, n_sub, -1).sum(axis=1)
-
-
-def reduced_idft_combine(
-    streams: ElementStreams, ofdm: OfdmSpec, n_sub: int, m_group: int
-) -> tuple[list[ComplexSignal], list[range]]:
-    """Two-stage reduced combiner.
-
-    Returns the M_r output streams and the contiguous tone ranges each one
-    demodulates. Degenerate sizings recover the other combiners exactly:
-    (n_sub=N, m_group=M) is the phase-shifter sum, (1, 1) the full IDFT.
-    """
-    _check_divisible(streams.cfg, ofdm, n_sub, m_group)
-    branches = presum_subarrays(streams, n_sub)
-    w = reduced_idft_weights(streams.cfg, streams.spec, ofdm, n_sub, m_group)
-    out = w.matrix @ branches / streams.n_elements
-    groups = [range(g * m_group, (g + 1) * m_group) for g in range(out.shape[0])]
-    return (
-        [ComplexSignal(row, sample_rate=streams.sample_rate) for row in out],
-        groups,
-    )
 
 
 def combine_branch_grids(

@@ -225,22 +225,8 @@ def rrc_taps(rolloff: float, span: int, oversample: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Transforms and delay
+# Delay
 # ---------------------------------------------------------------------------
-
-def dft(signal: ComplexSignal) -> ComplexSignal:
-    """Unitary DFT of the sample stream."""
-    x = _as_samples(signal)
-    rate = signal.sample_rate if isinstance(signal, ComplexSignal) else 1.0
-    return ComplexSignal(np.fft.fft(x) / np.sqrt(len(x)), sample_rate=rate)
-
-
-def idft(spectrum: ComplexSignal) -> ComplexSignal:
-    """Unitary inverse DFT; ``idft(dft(x))`` returns x to within 1e-10."""
-    x = _as_samples(spectrum)
-    rate = spectrum.sample_rate if isinstance(spectrum, ComplexSignal) else 1.0
-    return ComplexSignal(np.fft.ifft(x) * np.sqrt(len(x)), sample_rate=rate)
-
 
 def _delay_ramp(length: int, delay: float) -> np.ndarray:
     return np.exp(-2j * np.pi * np.fft.fftfreq(length) * delay)

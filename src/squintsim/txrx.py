@@ -13,8 +13,11 @@ Both chains share the receiver conventions:
 
 The array up to the combiner is linear and time-invariant, so each chain
 multiplies the spectrum of its frame by one response per combiner branch
-(:func:`squintsim.wavefront.branch_responses`); the single-carrier chain
-folds its pulse shaping and matched filter into the same product. Receiver
+(:func:`squintsim.wavefront.branch_responses`, in closed form). The
+single-carrier chain folds its pulse shaping and matched filter into the
+same product and, since it only reads the output at the symbol instants,
+runs at the symbol rate: the oversampled response folded onto the
+symbol-rate grid (its aliases summed) filters the symbol impulses. Receiver
 noise is drawn once, at the combiner output. The element noise is white
 and i.i.d., the delays are unitary, the weights have unit modulus and the
 matched filter has unit energy, so every combiner's output noise is
@@ -136,8 +139,7 @@ def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) 
         )
     blocks = x.reshape(-1, block)
     cores = blocks[:, ofdm.cp_ratio_num * q:]
-    spec = np.fft.fft(cores, axis=1) / math.sqrt(m * q)
-    return spec[:, _tone_bins(ofdm, q)]
+    return np.fft.fft(cores, axis=1)[:, _tone_bins(ofdm, q)] / math.sqrt(m * q)
 
 
 # ---------------------------------------------------------------------------
@@ -200,20 +202,39 @@ def _smooth_length(n: int) -> int:
 def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.ndarray, slice]:
     """Symbol impulses on a zero-guarded grid, the symbols, and the slice of
     the impulse instants (where the zero-phase RRC cascade peaks). Trailing
-    zeros pad the grid to a 7-smooth length, so its FFTs stay fast."""
+    zeros pad the grid to ``os`` times a 7-smooth symbol count, so the FFTs
+    of the grid and of its symbol-rate subsampling ``[::os]``, which holds
+    every impulse, stay fast."""
     rng = np.random.default_rng(spec.seed)
     indices = rng.integers(0, spec.modulation_order, spec.n_symbols)
     symbols = qam_map(indices, spec.modulation_order).samples
     os = spec.oversample
     spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, os))
     guard_syms = int(np.ceil(spread / os)) + spec.rrc_span + 4
-    # room for half an RRC span on either side of the guarded symbols
+    # room for half an RRC span (an even symbol count) on either side
     first = guard_syms * os + spec.rrc_span * os // 2
     instants = slice(first, first + spec.n_symbols * os, os)
-    length = (spec.n_symbols + 2 * guard_syms + spec.rrc_span) * os
-    up = np.zeros(_smooth_length(length), dtype=np.complex128)
+    n_grid = spec.n_symbols + 2 * guard_syms + spec.rrc_span
+    up = np.zeros(os * _smooth_length(n_grid), dtype=np.complex128)
     up[instants] = symbols
     return ComplexSignal(up, sample_rate=float(os)), symbols, instants
+
+
+def _sc_folded_response(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec) -> np.ndarray:
+    """The link's response R^2 H / N on the symbol-rate grid of ``tx``.
+
+    R is the spectrum of the zero-phase RRC taps and H the whole array's
+    response, both on the oversampled grid; folding sums the ``os``
+    aliases of each symbol-rate bin. Its inverse FFT is the symbol-spaced
+    samples g_k of the cascade rrc * rrc * h / N, with g_0 the desired tap.
+    """
+    os = spec.oversample
+    taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, os)
+    padded = np.zeros(len(tx))
+    padded[:len(taps)] = taps
+    rrc = np.fft.fft(np.roll(padded, -(len(taps) // 2)))
+    array = next(branch_responses(tx, cfg, spec, cfg.n_elements))
+    return (rrc**2 * array).reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)
 
 
 def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
@@ -221,18 +242,18 @@ def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
     noiseless and of the noisy combiner output (the same array twice at
     snr = inf).
 
-    Shaping, array and matched filter are one spectrum product: the impulse
-    frame times R^2 H / N, with R the spectrum of the zero-phase RRC taps
-    and H the whole array's response.
+    Shaping, array and matched filter are one filter, R^2 H / N. Only its
+    output at the symbol instants is kept, and the impulses sit on every
+    ``os``-th sample, so the chain runs at the symbol rate: the symbol-rate
+    impulses times the folded response (:func:`_sc_folded_response`).
+    This equals the oversampled product ``ifft(fft(tx) R^2 H / N)`` at the
+    instants.
     """
     tx, symbols, instants = _sc_transmit(spec, cfg)
-    taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, spec.oversample)
-    padded = np.zeros(len(tx))
-    padded[:len(taps)] = taps
-    rrc = np.fft.fft(np.roll(padded, -(len(taps) // 2)))
-    array = next(branch_responses(tx, cfg, spec, cfg.n_elements))
-    spectrum = np.fft.fft(tx.samples) * rrc**2 * array
-    rx_clean = np.fft.ifft(spectrum)[instants] / cfg.n_elements
+    os = spec.oversample
+    spectrum = np.fft.fft(tx.samples[::os]) * _sc_folded_response(tx, cfg, spec)
+    start = instants.start // os
+    rx_clean = np.fft.ifft(spectrum)[start:start + spec.n_symbols]
     return symbols, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
 
 
@@ -247,8 +268,9 @@ def run_single_carrier(
     Chain: QAM mapping, root-raised-cosine shaping, plane-wave reception
     with progressive delays, phase-shifter alignment, centroid timing and
     the sum over elements, matched filtering and symbol sampling (one
-    spectrum product: shaping, array response and matched filter), receiver
-    noise per output symbol, then EVM against the transmitted symbols.
+    filter of shaping, array response and matched filter, run at the
+    symbol rate), receiver noise per output symbol, then EVM against the
+    transmitted symbols.
     """
     if combiner.kind != PHASE_SUM:
         raise CombinerRequiresOfdm("IDFT combining requires the OFDM chain")

@@ -4,18 +4,19 @@ Between the transmitter and the combiner the array is a linear,
 time-invariant filter bank. :func:`branch_responses` is what the link
 chains use: it collapses plane-wave propagation, phase-shifter alignment
 and centroid timing sync into one frequency response per combiner branch
-(a contiguous sub-array). The chains apply those responses to the spectrum
-of their frame themselves, so nothing here transforms a signal on the
-chains' path.
+(a contiguous sub-array), in closed form: a real Dirichlet kernel of the
+sub-array size times the pure delay of the sub-array centre. The chains
+apply those responses to the spectrum of their frame themselves, so
+nothing here transforms a signal on the chains' path.
 
 The per-element stages are the reference that ``branch_responses`` and the
-time-domain combiners are tested against: :func:`propagate` splits a
-transmitted baseband signal into per-element received streams carrying the
-progressive group delay and carrier phase of a plane wave arriving from the
-steering direction, :func:`phase_align` models the phase-shifter correction,
-:func:`add_noise` per-element receiver noise (per-element derived seeds, so
-results do not depend on processing order) and :func:`sync_mean_delay` the
-receiver's timing recovery.
+tests' time-domain combiners are checked against: :func:`propagate` splits
+a transmitted baseband signal into per-element received streams carrying
+the progressive group delay and carrier phase of a plane wave arriving
+from the steering direction, :func:`phase_align` models the phase-shifter
+correction, :func:`add_noise` per-element receiver noise (per-element
+derived seeds, so results do not depend on processing order) and
+:func:`sync_mean_delay` the receiver's timing recovery.
 """
 
 from __future__ import annotations
@@ -117,22 +118,22 @@ def _check_guard(x: np.ndarray, n_elements: int, dtau: float) -> None:
         )
 
 
-def _geometric_sum(z: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(sum_{k < n} z^k, z^n)`` elementwise, by binary powering: about
-    2 log2(n) array products instead of n, so large sub-arrays stay cheap."""
-    total = np.zeros_like(z)
-    power = np.ones_like(z)  # z^m, m = the terms summed so far
-    block_sum = np.ones_like(z)  # sum of the first 2^i terms
-    block_power = z.copy()  # z^(2^i)
-    while n:
-        if n & 1:
-            total += power * block_sum
-            power *= block_power
-        n >>= 1
-        if n:
-            block_sum += block_power * block_sum
-            block_power *= block_power
-    return total, power
+def _dirichlet(x: np.ndarray, n: int) -> np.ndarray:
+    """The real Dirichlet kernel ``sin(pi n x) / sin(pi x)``, which is
+    ``sum_k exp(-j 2 pi x (k - (n - 1) / 2))`` over ``k < n``.
+
+    ``x`` is reduced to ``u = x - k`` about its nearest integer ``k`` (an
+    exact subtraction), so the removable poles at integer ``x`` give
+    exactly ``n`` times the sign ``(-1)^(k (n - 1))``, which is +1 for odd
+    ``n``."""
+    k = np.rint(x)
+    u = x - k
+    den = np.sin(np.pi * u)
+    amp = np.full_like(u, float(n))
+    np.divide(np.sin(np.pi * n * u), den, out=amp, where=den != 0.0)
+    if n % 2 == 0:
+        amp[(k.astype(np.int64) & 1) == 1] *= -1.0
+    return amp
 
 
 def branch_responses(
@@ -143,16 +144,19 @@ def branch_responses(
 
     Branch r is the unnormalized sum of the ``n_sub`` contiguous elements
     ``[r * n_sub, (r + 1) * n_sub)`` after propagation, phase alignment and
-    centroid sync, so ``ifft(fft(tx) * H_r)`` equals ``presum_subarrays(
-    sync_mean_delay(phase_align(propagate(tx))), n_sub)[r]`` of
-    :mod:`squintsim.combine`. The carrier rotations of propagation and
-    alignment cancel exactly, leaving
-    ``H_r(f) = sum_{n in r} exp(-j 2 pi f (n dtau - tau_mean))``. The
-    responses are built by recurrence on ``z = exp(-j 2 pi f dtau)``, so a
-    frame costs two complex exponentials whatever the array size.
-    ``n_sub = N`` yields the single response of the whole array. Every
-    yielded array is fresh. Raises :class:`InsufficientGuard` like
-    :func:`propagate`.
+    centroid sync, so ``ifft(fft(tx) * H_r)`` equals the pre-summed
+    sub-array streams of the per-element stages. The carrier rotations of
+    propagation and alignment cancel exactly, leaving
+    ``H_r(f) = sum_{n in r} exp(-j 2 pi f (n dtau - tau_mean))``: in closed
+    form the real Dirichlet kernel ``sin(pi n_sub x) / sin(pi x)`` of
+    ``x = f dtau`` times the pure delay of the sub-array centre,
+    ``(r - (n_r - 1) / 2) n_sub dtau`` after sync. A single branch
+    (``n_sub = N``: the phase-shifter sum and the whole single-carrier
+    array) is centred, so its response is the real kernel alone; otherwise
+    branches step by the recurrence ``z^n_sub`` with
+    ``z = exp(-j 2 pi f dtau)``, two complex exponentials per frame
+    whatever the array size. Every yielded array is fresh. Raises
+    :class:`InsufficientGuard` like :func:`propagate`.
     """
     n_el = cfg.n_elements
     if n_sub < 1 or n_el % n_sub:
@@ -160,12 +164,17 @@ def branch_responses(
     dtau = element_delay_samples(cfg, spec, tx.sample_rate)
     if dtau != 0.0:
         _check_guard(tx.samples, n_el, dtau)
-    freqs = np.fft.fftfreq(len(tx))
-    # sub-array response sum_{k < n_sub} z^k; z^n_sub steps one branch on
-    response, stride = _geometric_sum(np.exp(-2j * np.pi * freqs * dtau), n_sub)
-    # centroid sync advances every element by tau_mean
-    response *= np.exp(2j * np.pi * freqs * ((n_el - 1) / 2.0 * dtau))
-    for _ in range(n_el // n_sub):
+    x = np.fft.fftfreq(len(tx)) * dtau
+    n_r = n_el // n_sub
+    if n_r == 1:
+        yield _dirichlet(x, n_sub)
+        return
+    # the centre of branch 0 leads the centroid by (n_r - 1) / 2 strides
+    response = np.exp(1j * np.pi * (n_r - 1) * n_sub * x)
+    if n_sub > 1:  # one element's kernel is all ones
+        response *= _dirichlet(x, n_sub)
+    stride = np.exp(-2j * np.pi * n_sub * x)
+    for _ in range(n_r):
         yield response
         response = response * stride
 

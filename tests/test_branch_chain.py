@@ -1,20 +1,28 @@
 """The collapsed receive chain against the per-element reference.
 
 The chains receive each combiner branch through one frequency response
-(``branch_responses``), combine in the tone domain with the reduced-IDFT
-kernel, and draw receiver noise once at the combiner output. The
-references are the per-element stages of :mod:`squintsim.wavefront`
-(``propagate``, ``phase_align``, ``add_noise``, ``sync_mean_delay``) and the
-time-domain combiners of :mod:`squintsim.combine`.
+(``branch_responses``, in closed form), combine in the tone domain with
+the reduced-IDFT kernel, run the single-carrier link at the symbol rate,
+and draw receiver noise once at the combiner output. The references are
+the per-element stages of :mod:`squintsim.wavefront` (``propagate``,
+``phase_align``, ``add_noise``, ``sync_mean_delay``), and the time-domain
+combiners and the oversampled single-carrier product of ``oracles``.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import (
+    full_idft_combine,
+    phase_sum,
+    presum_subarrays,
+    reduced_idft_combine,
+    sc_oversampled_clean,
+)
 from squintsim import (
     ArrayConfig,
     ComplexSignal,
@@ -22,19 +30,15 @@ from squintsim import (
     OfdmSpec,
     SignalSpec,
     add_noise,
-    full_idft_combine,
     ofdm_demodulate,
     phase_align,
-    phase_sum,
     propagate,
-    reduced_idft_combine,
     sync_mean_delay,
 )
-from squintsim.combine import presum_subarrays
 from squintsim.dsp import rrc_taps
 from squintsim.errors import IndivisibleSizing, InsufficientGuard
 from squintsim.txrx import _ofdm_receive, _ofdm_transmit, _sc_receive, _sc_transmit
-from squintsim.wavefront import _geometric_sum, branch_responses
+from squintsim.wavefront import _dirichlet, branch_responses
 
 DEG = np.pi / 180.0
 
@@ -96,12 +100,36 @@ class TestBranchStreams:
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(st.integers(1, 300), st.floats(-0.5, 0.5))
-def test_geometric_sum_matches_direct_sum(n, f):
-    z = np.exp(-2j * np.pi * np.array([f, 0.0, 0.5]))
-    total, power = _geometric_sum(z, n)
-    direct = np.array([np.sum(zz ** np.arange(n)) for zz in z])
-    assert np.max(np.abs(total - direct)) < 1e-10 * n
-    assert np.max(np.abs(power - z ** n)) < 1e-12 * n
+def test_dirichlet_matches_direct_sum(n, f):
+    """The closed form equals the centred sum, also at and next to its
+    removable poles (integer x), where it is exactly +-n."""
+    x = np.array([f, 0.0, 0.5, -0.5, 1.0, 2.5, f + 3.0])
+    k = np.arange(n) - (n - 1) / 2.0
+    direct = np.exp(-2j * np.pi * np.outer(x, k)).sum(axis=1)
+    got = _dirichlet(x, n)
+    assert got.dtype == np.float64
+    assert np.max(np.abs(got - direct)) < 1e-10 * n
+    assert got[1] == n and got[4] == (-1) ** (n - 1) * n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 40),
+    st.floats(-89.0, 89.0),
+    st.floats(0.01, 0.99),
+    st.sampled_from([4, 5, 8]),
+    st.integers(1, 300),
+)
+@example(33, -75.0, 0.95, 8, 200)  # odd N, negative theta, dtau = 3.7 samples
+@example(16, -75.0, 0.95, 16, 50)  # x = f dtau crosses the poles at 1, 2 and 3
+@example(32, 89.0, 0.99, 5, 120)
+def test_single_carrier_symbol_rate_matches_oversampled_property(n, theta, bw, os, n_sym):
+    """The symbol-rate chain (impulses times the folded response) equals the
+    oversampled product ifft(fft(tx) R^2 H / N) at the symbol instants."""
+    cfg = ArrayConfig(n, theta * DEG)
+    spec = SignalSpec(bw, n_symbols=n_sym, oversample=os, seed=n_sym)
+    _, clean, _ = _sc_receive(cfg, spec, np.inf)
+    assert np.max(np.abs(clean - sc_oversampled_clean(cfg, spec))) < 1e-12
 
 
 class TestToneGridEquivalence:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import full_idft_combine, phase_sum, presum_subarrays, reduced_idft_combine
 from squintsim import (
     ArrayConfig,
     ComplexSignal,
@@ -10,16 +11,12 @@ from squintsim import (
     IdftWeights,
     OfdmSpec,
     SignalSpec,
-    full_idft_combine,
     full_idft_weights,
     phase_align,
-    phase_sum,
     propagate,
-    reduced_idft_combine,
     reduced_idft_weights,
     space_factor_at_steer,
 )
-from squintsim.combine import presum_subarrays
 from squintsim.errors import IndivisibleSizing
 from squintsim.wavefront import ElementStreams
 

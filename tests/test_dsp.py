@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import dft, idft
 from squintsim import (
     ComplexSignal,
     SignalSpec,
     awgn,
     constellation,
     derive_seed,
-    dft,
     fractional_delay,
-    idft,
     measure_evm,
     qam_demap,
     qam_map,

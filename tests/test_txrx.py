@@ -18,7 +18,7 @@ from squintsim import (
     run_single_carrier,
 )
 from squintsim.errors import CombinerRequiresOfdm, DimensionMismatch
-from squintsim.txrx import _ofdm_transmit, _sc_transmit, _smooth_length
+from squintsim.txrx import _ofdm_transmit, _sc_folded_response, _sc_transmit, _smooth_length
 from squintsim.wavefront import element_delay_samples
 
 DEG = np.pi / 180.0
@@ -130,6 +130,26 @@ class TestSingleCarrier:
         spec = SignalSpec(0.2, n_symbols=100, seed=0)
         with pytest.raises(CombinerRequiresOfdm):
             run_single_carrier(cfg, spec, 20.0, CombinerSpec.full_idft())
+
+    @pytest.mark.parametrize(
+        "n, theta, bw, exact_db", [(32, 30, 0.1, 21.453), (64, 45, 0.2, 1.013), (16, 60, 0.05, 36.061)]
+    )
+    def test_exact_ssir_matches_monte_carlo(self, n, theta, bw, exact_db):
+        """The symbol-spaced samples g_k of rrc * rrc * h / N (the inverse
+        FFT of the folded response) give the SSIR with zero variance:
+        sum |g|^2 / (sum |g|^2 - |g_0|^2), the least-squares MER that the
+        Monte-Carlo run estimates. 20k symbols land within 0.1 dB (the
+        measured gaps are at most 0.033 dB)."""
+        cfg = ArrayConfig(n, theta * DEG)
+        short = SignalSpec(bw, n_symbols=200, seed=0)
+        g = np.fft.ifft(_sc_folded_response(_sc_transmit(short, cfg)[0], cfg, short))
+        total = np.sum(np.abs(g) ** 2)
+        exact = 10 * np.log10(total / (total - abs(g[0]) ** 2))
+        assert exact == pytest.approx(exact_db, abs=1e-3)
+        for seed in (1, 2):
+            spec = SignalSpec(bw, n_symbols=20_000, seed=seed)
+            mc = run_single_carrier(cfg, spec, np.inf).overall_ssir_db
+            assert mc == pytest.approx(exact, abs=0.1)
 
     def test_ssir_monotone_in_elements(self):
         spec = SignalSpec(0.2, n_symbols=3000, oversample=4, seed=6)
@@ -293,9 +313,10 @@ def test_smooth_length_is_least_7_smooth_property(n):
 
 
 class TestSmoothFrames:
-    """Trailing zeros pad both transmit frames to a 7-smooth length; the
-    leading guard, the symbol instants and the OFDM frame stay where the
-    unpadded layout put them. Configs of the benchmark workloads
+    """Trailing zeros pad both transmit frames to a 7-smooth length (the
+    single-carrier one to os times a 7-smooth symbol count); the leading
+    guard, the symbol instants and the OFDM frame stay where the unpadded
+    layout put them. Configs of the benchmark workloads
     (ofdm_combiners, sc_link, the largest OFDM cell of ssir_sweep)."""
 
     @pytest.mark.parametrize(
@@ -316,16 +337,24 @@ class TestSmoothFrames:
         assert not np.any(tx.samples[:guard]) and not np.any(tx.samples[guard + len(frame):])
 
     def test_single_carrier_frame_layout(self):
-        cfg, spec = ArrayConfig(32, 30 * DEG), SignalSpec(0.1, n_symbols=10_000, seed=5)
-        tx, symbols, instants = _sc_transmit(spec, cfg)
-        os, span = spec.oversample, spec.rrc_span
-        spread = (32 - 1) * abs(element_delay_samples(cfg, spec, os))
-        guard_syms = int(np.ceil(spread / os)) + span + 4
-        first = guard_syms * os + span * os // 2
-        assert instants == slice(first, first + 10_000 * os, os)
-        length = (10_000 + 2 * guard_syms + span) * os
-        assert length == 80464
-        assert len(tx) == least_7_smooth(length)
-        impulses = np.zeros(len(tx), dtype=complex)
-        impulses[instants] = symbols
-        assert np.array_equal(tx.samples, impulses)
+        """The grid is os times a 7-smooth symbol count, so its symbol-rate
+        subsampling holds every impulse. At sc_link (80464 samples) this is
+        also the least 7-smooth length; at N=256, 60 deg, BW 0.5 it is
+        9408, not 9375."""
+        for n, theta, bw, n_sym, length, padded in (
+            (32, 30, 0.1, 10_000, 80464, 80640),
+            (256, 60, 0.5, 1000, 9344, 9408),
+        ):
+            cfg, spec = ArrayConfig(n, theta * DEG), SignalSpec(bw, n_symbols=n_sym, seed=5)
+            tx, symbols, instants = _sc_transmit(spec, cfg)
+            os, span = spec.oversample, spec.rrc_span
+            spread = (n - 1) * abs(element_delay_samples(cfg, spec, os))
+            guard_syms = int(np.ceil(spread / os)) + span + 4
+            first = guard_syms * os + span * os // 2
+            assert instants == slice(first, first + n_sym * os, os)
+            assert (n_sym + 2 * guard_syms + span) * os == length
+            assert len(tx) == os * least_7_smooth(length // os) == padded
+            impulses = np.zeros(len(tx), dtype=complex)
+            impulses[instants] = symbols
+            assert np.array_equal(tx.samples, impulses)
+            assert first % os == 0
