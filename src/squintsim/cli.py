@@ -29,6 +29,8 @@ import time
 from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 
+import numpy as np
+
 from . import __version__, analytic
 from .config import ExperimentConfig, parse_config_file
 from .dsp import derive_seed
@@ -125,11 +127,72 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_csv(path: str, header: str, lines: Iterable[str]) -> None:
-    """Write the header and the pre-formatted rows in one call, each line
-    ended by CRLF as csv.writer ends them."""
+def _write_csv(path: str, header: str, rows: str) -> None:
+    """Write the header and the rows in one call, each line ended by CRLF
+    as csv.writer ends them; ``rows`` holds its CRLFs already."""
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join([header, *lines]) + "\r\n")
+        fh.write(header + "\r\n" + rows)
+
+
+def _crlf_rows(lines: Iterable[str]) -> str:
+    return "".join(line + "\r\n" for line in lines)
+
+
+def _fixed_rows(values: np.ndarray, decimals: int) -> str:
+    """The rows of a 2-D float array as ``%.<decimals>f`` fields joined by
+    ``,``, each row ended by CRLF: byte for byte what ``"%.*f"`` writes,
+    formatted for all values at once (``decimals >= 1``).
+
+    The digits come from ``n = rint(|x| 10^decimals)`` in float64, one
+    ``floor(t / 10)`` per digit, which is exact for ``t < 2^53``, and the
+    sign from ``np.signbit``, so -0.0 and tiny negatives read
+    ``-0.000...`` as ``%`` writes them. Exactness rule: ``rint(y)`` is the
+    correctly rounded decimal unless ``y`` lies within ``2 spacing(y)`` of
+    a half-integer (an exact tie such as 2^-10, or a product that rounded
+    onto the wrong side of one) or ``y >= 2^53``. A row holding such a
+    value, or a non-finite one, is formatted by ``"%.*f"`` instead.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    scaled = np.abs(values)
+    exact = scaled < 2.0**53 / 10.0**decimals  # False for NaN and inf
+    scaled[~exact] = 0.0
+    scaled *= 10.0**decimals
+    exact &= np.abs(scaled - np.floor(scaled) - 0.5) > 2.0 * np.spacing(scaled)
+    rows = exact.all(axis=1)
+    text = _digit_rows(values[rows], np.rint(scaled[rows]), decimals)
+    if rows.all():
+        return text
+    digit_lines = iter(text.splitlines(keepends=True))
+    return "".join(
+        next(digit_lines) if fast else ",".join("%.*f" % (decimals, v) for v in row) + "\r\n"
+        for fast, row in zip(rows.tolist(), values.tolist())
+    )
+
+
+def _digit_rows(values: np.ndarray, digits: np.ndarray, decimals: int) -> str:
+    # one uint8 row per character position of a right-aligned field: sign,
+    # integer digits, point, fraction, then ',' or CRLF; zero bytes are blanks
+    if not values.size:
+        return ""
+    n_rows, n_cols = values.shape
+    n_digits = max(len("%d" % digits.max()), decimals + 1)
+    width = n_digits + 4
+    chars = np.zeros((width, values.size), dtype=np.uint8)
+    chars[0] = np.signbit(values.ravel()) * ord("-")
+    t = digits.ravel()
+    for j in range(n_digits):  # least significant first
+        q = np.floor(t / 10.0)
+        digit = (t - 10.0 * q).astype(np.uint8) + ord("0")
+        if j > decimals:  # blank the leading zeros of the integer part
+            digit[t == 0.0] = 0
+        chars[width - 3 - j - (j >= decimals)] = digit
+        t = q
+    chars[width - 3 - decimals] = ord(".")
+    ends = chars[width - 2:].reshape(2, n_rows, n_cols)
+    ends[0] = ord(",")
+    ends[:, :, -1] = np.array([ord("\r"), ord("\n")], dtype=np.uint8)[:, None]
+    flat = chars.T.ravel()
+    return flat[flat != 0].tobytes().decode("ascii")
 
 
 def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
@@ -147,17 +210,14 @@ def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
     written.append(path)
     if report.per_tone is not None:
         path = f"{out}_tones.csv"
-        _write_csv(path, "tone,evm_db,ssir_db", (
+        _write_csv(path, "tone,evm_db,ssir_db", _crlf_rows(
             "%d,%.6f,%.6f" % (tone.tone_index, tone.evm_db, tone.ssir_db)
             for tone in report.per_tone
         ))
         written.append(path)
     path = f"{out}_constellation.csv"
     # rows of [re, im, ref_re, ref_im] as plain floats
-    _write_csv(path, "re,im,ref_re,ref_im", (
-        "%.9f,%.9f,%.9f,%.9f" % (re, im, ref_re, ref_im)
-        for re, im, ref_re, ref_im in report.constellation.view("f8").tolist()
-    ))
+    _write_csv(path, "re,im,ref_re,ref_im", _fixed_rows(report.constellation.view("f8"), 9))
     written.append(path)
     return written
 
@@ -255,7 +315,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
             fh.write(text + "\n")
     else:
         written = [f"{out}.csv"]
-        _write_csv(written[0], "n_elements,theta_deg,bw_frac,ssir_db,evm_db", (
+        _write_csv(written[0], "n_elements,theta_deg,bw_frac,ssir_db,evm_db", _crlf_rows(
             "%d,%r,%r,%s,%s" % (
                 row["n_elements"], row["theta_deg"], row["bw_frac"],
                 "" if row["ssir_db"] is None else "%.6f" % row["ssir_db"],
@@ -268,7 +328,7 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
         if failed:
             # the failed cells and why, beside the report and never in it
             written.append(errors)
-            _write_csv(errors, "n_elements,theta_deg,bw_frac,error", (
+            _write_csv(errors, "n_elements,theta_deg,bw_frac,error", _crlf_rows(
                 "%d,%r,%r,%s" % (row["n_elements"], row["theta_deg"], row["bw_frac"],
                                  _csv_field(row["error"]))
                 for row in failed

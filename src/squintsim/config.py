@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .analytic import ArrayConfig
 from .combine import _KINDS, CombinerSpec, PHASE_SUM, REDUCED_IDFT
 from .dsp import SignalSpec
-from .errors import ConfigError
+from .errors import ConfigError, InvalidOrder
 from .ofdm_spec import OfdmSpec
 
 
@@ -29,6 +29,13 @@ def _snr(raw: str) -> float:
     value = float(raw)
     if math.isnan(value) or value == -math.inf:
         raise ValueError("must be finite or 'inf'")
+    return value
+
+
+def _non_negative_int(raw: str) -> int:
+    value = int(raw)
+    if value < 0:
+        raise ValueError("must be non-negative")
     return value
 
 
@@ -64,7 +71,7 @@ _SCHEMA: dict[str, tuple] = {
     "rrc_rolloff": (_finite_float, 0.25),
     "rrc_span": (int, 16),
     "oversample": (int, 8),
-    "seed": (int, 0),
+    "seed": (_non_negative_int, 0),
     "sweep_n": (_list(int), None),
     "sweep_theta_deg": (_list(_finite_float), None),
     "sweep_bw": (_list(_finite_float), None),
@@ -127,7 +134,7 @@ class ExperimentConfig:
                 oversample=self["oversample"],
                 seed=self["seed"],
             )
-        except ValueError as exc:
+        except (ValueError, InvalidOrder) as exc:
             raise ConfigError(str(exc)) from None
 
     @property

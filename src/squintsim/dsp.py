@@ -64,6 +64,8 @@ class SignalSpec:
             raise ValueError("rrc_span must be a positive even symbol count")
         if self.oversample < 4:
             raise ValueError("oversample must be at least 4")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 @dataclass(eq=False)

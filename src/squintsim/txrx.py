@@ -17,7 +17,12 @@ multiplies the spectrum of its frame by one response per combiner branch
 single-carrier chain folds its pulse shaping and matched filter into the
 same product and, since it only reads the output at the symbol instants,
 runs at the symbol rate: the oversampled response folded onto the
-symbol-rate grid (its aliases summed) filters the symbol impulses. Receiver
+symbol-rate grid (its aliases summed) filters the symbol impulses. That
+filter is real and even in frequency: the zero-phase RRC taps are real and
+even, and after centroid sync so is the whole array's impulse response.
+So it is built on the real half spectrum (``rfft`` and
+:func:`squintsim.wavefront.array_kernel`) and even-extended, and its
+symbol-spaced impulse response is real. Receiver
 noise is drawn once, at the combiner output. The element noise is white
 and i.i.d., the delays are unitary, the weights have unit modulus and the
 matched filter has unit energy, so every combiner's output noise is
@@ -55,7 +60,7 @@ from .dsp import (
 )
 from .errors import CombinerRequiresOfdm, DimensionMismatch
 from .ofdm_spec import OfdmSpec
-from .wavefront import branch_responses, element_delay_samples
+from .wavefront import _even_extension, array_kernel, branch_responses, element_delay_samples
 
 # not called here: bound because squintbench/tracer.py wraps these names on this module
 from .combine import full_idft_weights  # noqa: F401
@@ -221,20 +226,28 @@ def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.
 
 
 def _sc_folded_response(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec) -> np.ndarray:
-    """The link's response R^2 H / N on the symbol-rate grid of ``tx``.
+    """The link's response R^2 H / N on the symbol-rate grid of ``tx``, as
+    real float64.
 
     R is the spectrum of the zero-phase RRC taps and H the whole array's
     response, both on the oversampled grid; folding sums the ``os``
     aliases of each symbol-rate bin. Its inverse FFT is the symbol-spaced
     samples g_k of the cascade rrc * rrc * h / N, with g_0 the desired tap.
+
+    Exactness: the taps are real and even, so R is the real part of their
+    ``rfft``, and H is the real kernel of :func:`array_kernel`; the product
+    is formed on the half spectrum and even-extended before folding. The
+    result is real and even about bin 0 (to the rounding of the fold's
+    sums), so g is real and even too.
     """
     os = spec.oversample
     taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, os)
     padded = np.zeros(len(tx))
     padded[:len(taps)] = taps
-    rrc = np.fft.fft(np.roll(padded, -(len(taps) // 2)))
-    array = next(branch_responses(tx, cfg, spec, cfg.n_elements))
-    return (rrc**2 * array).reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)
+    rrc = np.fft.rfft(np.roll(padded, -(len(taps) // 2))).real
+    half = rrc**2 * array_kernel(tx, cfg, spec, cfg.n_elements)
+    full = _even_extension(half, len(tx))
+    return full.reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)
 
 
 def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):

@@ -9,6 +9,14 @@ sub-array size times the pure delay of the sub-array centre. The chains
 apply those responses to the spectrum of their frame themselves, so
 nothing here transforms a signal on the chains' path.
 
+After centroid sync the whole array's impulse response is real and
+symmetric about zero delay, so its response is real and even in
+frequency: the Dirichlet kernel ``D(x)`` of ``x = f dtau``. Every
+sub-array's impulse response is real too, so each branch response is
+conjugate-symmetric. :func:`array_kernel` therefore evaluates the kernel
+on the non-negative bins of the real half spectrum only, and the full grid
+is its even extension.
+
 The per-element stages are the reference that ``branch_responses`` and the
 tests' time-domain combiners are checked against: :func:`propagate` splits
 a transmitted baseband signal into per-element received streams carrying
@@ -125,7 +133,11 @@ def _dirichlet(x: np.ndarray, n: int) -> np.ndarray:
     ``x`` is reduced to ``u = x - k`` about its nearest integer ``k`` (an
     exact subtraction), so the removable poles at integer ``x`` give
     exactly ``n`` times the sign ``(-1)^(k (n - 1))``, which is +1 for odd
-    ``n``."""
+    ``n``. One element's kernel is all ones. Every step is odd-symmetric
+    in ``x``, so the kernel is exactly even: ``D(-x) == D(x)`` bit for
+    bit."""
+    if n == 1:
+        return np.ones_like(x)
     k = np.rint(x)
     u = x - k
     den = np.sin(np.pi * u)
@@ -134,6 +146,30 @@ def _dirichlet(x: np.ndarray, n: int) -> np.ndarray:
     if n % 2 == 0:
         amp[(k.astype(np.int64) & 1) == 1] *= -1.0
     return amp
+
+
+def _even_extension(half: np.ndarray, length: int) -> np.ndarray:
+    """The even sequence ``full[k] = half[min(k, length - k)]`` of
+    ``length`` bins from its non-negative bins ``0 .. length // 2``."""
+    return np.concatenate([half, half[1:(length + 1) // 2][::-1]])
+
+
+def array_kernel(
+    tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
+) -> np.ndarray:
+    """The real kernel ``sin(pi n_sub x) / sin(pi x)`` of ``x = f dtau`` on
+    the non-negative bins ``0 .. len(tx) // 2`` of the FFT grid of ``tx``
+    (the ``rfft`` grid): the response of ``n_sub`` centred elements.
+
+    Exactness: ``rfftfreq`` and ``fftfreq`` both compute ``k * (1 / L)``
+    and the kernel is exactly even, so these values are bit-identical to
+    the full-grid kernel at bins ``k`` and ``L - k``. Raises
+    :class:`InsufficientGuard` like :func:`propagate`.
+    """
+    dtau = element_delay_samples(cfg, spec, tx.sample_rate)
+    if dtau != 0.0:
+        _check_guard(tx.samples, cfg.n_elements, dtau)
+    return _dirichlet(np.fft.rfftfreq(len(tx)) * dtau, n_sub)
 
 
 def branch_responses(
@@ -157,22 +193,24 @@ def branch_responses(
     ``z = exp(-j 2 pi f dtau)``, two complex exponentials per frame
     whatever the array size. Every yielded array is fresh. Raises
     :class:`InsufficientGuard` like :func:`propagate`.
+
+    Exactness: the kernel is the even extension of :func:`array_kernel`,
+    bit-identical to evaluating it on the full ``fftfreq`` grid, for even
+    and odd ``len(tx)``.
     """
     n_el = cfg.n_elements
     if n_sub < 1 or n_el % n_sub:
         raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {n_el}")
-    dtau = element_delay_samples(cfg, spec, tx.sample_rate)
-    if dtau != 0.0:
-        _check_guard(tx.samples, n_el, dtau)
-    x = np.fft.fftfreq(len(tx)) * dtau
+    half = array_kernel(tx, cfg, spec, n_sub)
     n_r = n_el // n_sub
     if n_r == 1:
-        yield _dirichlet(x, n_sub)
+        yield _even_extension(half, len(tx))
         return
+    x = np.fft.fftfreq(len(tx)) * element_delay_samples(cfg, spec, tx.sample_rate)
     # the centre of branch 0 leads the centroid by (n_r - 1) / 2 strides
     response = np.exp(1j * np.pi * (n_r - 1) * n_sub * x)
     if n_sub > 1:  # one element's kernel is all ones
-        response *= _dirichlet(x, n_sub)
+        response *= _even_extension(half, len(tx))
     stride = np.exp(-2j * np.pi * n_sub * x)
     for _ in range(n_r):
         yield response

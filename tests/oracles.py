@@ -2,8 +2,9 @@
 
 The link chains never call these. They are the time-domain combiners
 (which the tone-domain kernel ``combine_branch_grids`` must reproduce),
-the unitary DFT pair, and the single-carrier link on its oversampled grid
-(which the symbol-rate chain must reproduce).
+the unitary DFT pair, the single-carrier link on its oversampled grid
+(which the symbol-rate chain must reproduce) and the branch responses on
+the full FFT grid (which the half-spectrum kernel must reproduce).
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from squintsim.combine import full_idft_weights, reduced_idft_weights
 from squintsim.dsp import _as_samples, rrc_taps
 from squintsim.errors import IndivisibleSizing
 from squintsim.txrx import _sc_transmit
-from squintsim.wavefront import branch_responses
+from squintsim.wavefront import _dirichlet, branch_responses, element_delay_samples
 
 
 def dft(signal: ComplexSignal) -> ComplexSignal:
@@ -87,3 +88,23 @@ def sc_oversampled_clean(cfg, spec) -> np.ndarray:
     array = next(branch_responses(tx, cfg, spec, cfg.n_elements))
     spectrum = np.fft.fft(tx.samples) * rrc**2 * array
     return np.fft.ifft(spectrum)[instants] / cfg.n_elements
+
+
+def full_grid_branch_responses(tx, cfg, spec, n_sub) -> list[np.ndarray]:
+    """Every branch response with its Dirichlet kernel evaluated on the
+    full ``fftfreq`` grid, negative bins included, not on the half
+    spectrum."""
+    x = np.fft.fftfreq(len(tx)) * element_delay_samples(cfg, spec, tx.sample_rate)
+    kernel = _dirichlet(x, n_sub)
+    n_r = cfg.n_elements // n_sub
+    if n_r == 1:
+        return [kernel]
+    response = np.exp(1j * np.pi * (n_r - 1) * n_sub * x)
+    if n_sub > 1:
+        response *= kernel
+    stride = np.exp(-2j * np.pi * n_sub * x)
+    responses = []
+    for _ in range(n_r):
+        responses.append(response)
+        response = response * stride
+    return responses

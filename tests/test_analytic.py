@@ -104,7 +104,7 @@ class TestSpaceFactor:
             space_factor(ArrayConfig(8, 30 * DEG), 0.0, 0.0)
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(
     st.integers(1, 256),
     st.floats(-60.0, 60.0),

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squintsim import (
     ArrayConfig,
@@ -14,7 +16,7 @@ from squintsim import (
     run_ofdm,
     run_single_carrier,
 )
-from squintsim.cli import EXIT_CONFIG, EXIT_OK, _write_simulate_outputs, main
+from squintsim.cli import EXIT_CONFIG, EXIT_OK, _fixed_rows, _write_simulate_outputs, main
 from squintsim.config import ExperimentConfig, parse_config_file
 from squintsim.errors import ConfigError
 
@@ -189,6 +191,27 @@ class TestSimulate:
         assert "snr_db" in capsys.readouterr().err
         assert not (tmp_path / "sim.json").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_negative_seed_is_config_error(self, tmp_path, capsys, source):
+        if source == "flag":
+            args = self._args(tmp_path, seed=-1)
+        else:
+            cfgfile = tmp_path / "c.cfg"
+            cfgfile.write_text("seed = -1\n")
+            args = self._args(tmp_path)
+            at = args.index("--seed")
+            args[at:at + 2] = ["--config", str(cfgfile)]
+        assert run_cli(args) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim*"))
+
+    def test_unsupported_mod_order_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("mod_order = 8\n")
+        assert run_cli(self._args(tmp_path) + ["--config", str(cfgfile)]) == EXIT_CONFIG
+        assert "modulation_order" in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim*"))
+
     def test_config_echo_round_trips(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("n_symbols = 400\n")
@@ -231,6 +254,10 @@ class TestReportCsv:
         # signed zeros and tiny negatives that round to -0.000000000
         report.constellation[0] = [complex(-0.0, 0.0), complex(0.0, -0.0)]
         report.constellation[1] = [complex(-1e-12, -3.5), complex(-1.0, 1e-12)]
+        # rows the digit path hands to "%.*f": exact ties (2^-10 * 1e9 is
+        # 976562.5) and values whose scaled digits reach 2^53
+        report.constellation[2] = [complex(1 / 1024, -3 / 1024), complex(1.0, -1.0)]
+        report.constellation[3] = [complex(0.25, 12345678.5), complex(1e7, -0.75)]
         _write_simulate_outputs(report, str(tmp_path / "new"))
         csv_writer_oracle(report, str(tmp_path / "old"))
         suffixes = ["_constellation.csv"] + (["_tones.csv"] if link == "ofdm" else [])
@@ -240,7 +267,43 @@ class TestReportCsv:
             assert b"-0.000000" in new
 
 
+def fixed_value(decimals: int):
+    """Finite floats with signed zeros and subnormals, values on or next to
+    a rounding tie (k + 1/2) 10^-decimals, and dyadic ties."""
+    return st.one_of(
+        st.floats(-1e12, 1e12),
+        st.integers(-10**12, 10**12).map(lambda k: (k + 0.5) / 10**decimals),
+        st.integers(-2**20, 2**20).map(lambda k: (k + 0.5) * 2.0**-10),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -1e-12]),
+    )
+
+
+def fixed_case(decimals: int):
+    return st.integers(1, 4).flatmap(
+        lambda n_cols: st.lists(
+            st.lists(fixed_value(decimals), min_size=n_cols, max_size=n_cols),
+            min_size=1, max_size=12,
+        )
+    ).map(lambda rows: (decimals, rows))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([6, 9]).flatmap(fixed_case))
+def test_fixed_rows_match_percent_format_property(case):
+    decimals, rows = case
+    expected = "".join(",".join("%.*f" % (decimals, v) for v in row) + "\r\n" for row in rows)
+    assert _fixed_rows(np.array(rows), decimals) == expected
+
+
 class TestSweep:
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text("sweep_n = 2,4\nsnr_db = inf\nn_symbols = 300\nseed = -1\n")
+        out = tmp_path / "g"
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err
+        assert not list(tmp_path.glob("g*"))
+
     def test_grid_csv_schema_and_determinism(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
         cfgfile.write_text(

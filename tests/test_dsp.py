@@ -305,6 +305,11 @@ class TestSignalSpec:
         with pytest.raises(InvalidOrder):
             SignalSpec(0.2, modulation_order=8)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed"):
+            SignalSpec(0.2, seed=-1)
+        assert SignalSpec(0.2, seed=0).seed == 0
+
     @pytest.mark.parametrize(
         "field", ["fractional_bandwidth", "n_symbols", "rrc_rolloff", "oversample"]
     )
@@ -321,7 +326,7 @@ class TestSignalSpec:
 finite = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.lists(st.tuples(finite, finite), min_size=1, max_size=200))
 def test_idft_inverts_dft_property(pairs):
     x = np.array([complex(re, im) for re, im in pairs])
@@ -329,7 +334,7 @@ def test_idft_inverts_dft_property(pairs):
     assert np.max(np.abs(back - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.integers(16, 300), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.integers(0, 2**32))
 def test_fractional_delays_compose_property(length, a, b, seed):
     # both steps and their sum stay strictly inside the length/4 limit
@@ -341,7 +346,7 @@ def test_fractional_delays_compose_property(length, a, b, seed):
     assert np.max(np.abs(twice - once)) < 1e-10
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.sampled_from([4, 16, 64]).flatmap(
     lambda order: st.tuples(st.just(order), st.lists(st.integers(0, order - 1), max_size=100))
 ))
@@ -351,7 +356,7 @@ def test_qam_demap_inverts_map_property(case):
     assert np.array_equal(back, np.asarray(indices, dtype=np.int64))
 
 
-@settings(max_examples=50, deadline=None, derandomize=True)
+@settings(max_examples=50)
 @given(st.integers(1, 60), st.integers(3, 8), st.floats(0.0, 2.0), st.integers(0, 2**32))
 def test_measure_evm_fits_each_column_property(n_symbols, n_tones, noise, seed):
     rng = np.random.default_rng(seed)
