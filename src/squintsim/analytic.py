@@ -22,8 +22,6 @@ from .errors import DegenerateSteer, Infeasible, SpacingAssumption
 # the two-decimal value is used throughout the sizing rules.
 SINC_3DB_FACTOR = 1.77
 
-_TRIG_EPS = 1e-12
-
 
 @dataclass(frozen=True)
 class ArrayConfig:
@@ -126,17 +124,31 @@ def _offset(cfg: ArrayConfig, theta: float, f_ratio: float) -> float:
     return cfg.spacing_ratio * (f_ratio * math.sin(theta) - cfg.sin_steer)
 
 
-def _dirichlet(n: int, u: float) -> float:
-    """|sin(N pi u) / (N sin(pi u))| with the 0/0 limit handled.
+def _dirichlet(x: np.ndarray, n: int) -> np.ndarray:
+    """The real Dirichlet kernel ``sin(pi n x) / sin(pi x)``, which is
+    ``sum_k exp(-j 2 pi x (k - (n - 1) / 2))`` over ``k < n``.
 
-    The denominator vanishes at integer u; there the numerator argument is
-    the matching multiple of pi and the analytic limit is 1. A denominator
-    within 1e-12 of a multiple of pi takes the limit branch.
-    """
-    du = u - round(u)
-    if abs(du) < _TRIG_EPS / np.pi:
-        return 1.0 if abs(math.remainder(n * u, 1.0)) < 0.5 else 0.0
-    return abs(math.sin(np.pi * n * u) / (n * math.sin(np.pi * u)))
+    ``x`` is reduced to ``u = x - k`` about its nearest integer ``k`` (an
+    exact subtraction), so the removable poles at integer ``x`` give
+    exactly ``n`` times the sign ``(-1)^(k (n - 1))``, which is +1 for odd
+    ``n``. One element's kernel is all ones. Every step is odd-symmetric
+    in ``x``, so the kernel is exactly even: ``D(-x) == D(x)`` bit for
+    bit."""
+    if n == 1:
+        return np.ones_like(x)
+    k = np.rint(x)
+    u = x - k
+    den = np.sin(np.pi * u)
+    amp = np.full_like(u, float(n))
+    np.divide(np.sin(np.pi * n * u), den, out=amp, where=den != 0.0)
+    if n % 2 == 0:
+        amp[(k.astype(np.int64) & 1) == 1] *= -1.0
+    return amp
+
+
+def _magnitude(n: int, u: float) -> float:
+    # |D(u)| / N: the normalized response of N elements at phase step u turns
+    return float(abs(_dirichlet(np.float64(u), n))) / n
 
 
 def space_factor(cfg: ArrayConfig, theta: float, f_ratio: float) -> float:
@@ -148,7 +160,7 @@ def space_factor(cfg: ArrayConfig, theta: float, f_ratio: float) -> float:
     """
     if f_ratio <= 0:
         raise ValueError("f_ratio must be positive")
-    return _dirichlet(cfg.n_elements, _offset(cfg, theta, f_ratio))
+    return _magnitude(cfg.n_elements, _offset(cfg, theta, f_ratio))
 
 
 def _space_factor_direct(cfg: ArrayConfig, theta: float, f_ratio: float) -> float:
@@ -172,8 +184,7 @@ def space_factor_at_steer(cfg: ArrayConfig, f_ratio: float) -> float:
         )
     if f_ratio <= 0:
         raise ValueError("f_ratio must be positive")
-    u = 0.5 * cfg.sin_steer * (f_ratio - 1.0)
-    return _dirichlet(cfg.n_elements, u)
+    return _magnitude(cfg.n_elements, 0.5 * cfg.sin_steer * (f_ratio - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Command-line harness: closed-form analysis, single runs, and sweeps.
 
-Subcommands:
+    squintsim {analyze,simulate,sweep} [--config FILE] [--<key> VALUE ...]
+
+Commands:
 
 * ``analyze``: print the closed-form predictions and write them to a JSON
   report.
@@ -13,15 +15,26 @@ Subcommands:
   written only when a cell fails (and removed, if an earlier run left it,
   when none does).
 
-Exit codes: 0 success, 2 configuration error, 3 runtime failure. All
-outputs are deterministic for a fixed seed, whatever the output path
-(wall time goes to stderr, never into the report files).
+One parser serves all three commands. A flag is its config key with ``-``
+for ``_`` (``--theta-deg`` sets ``theta_deg``) and overrides the config
+file; its text is parsed by the config schema like a file value, so a bad
+value reads the same from either. A sweep checks its base settings when
+the config is built, before any cell runs; only what depends on a cell's
+(N, theta, BW) fails per cell.
+
+Exit codes: 0 success; 2 configuration error, a bad value from a flag, a
+file or the environment (``SQUINTSIM_WORKERS``); 3 runtime failure, a
+failed report write included. All outputs are deterministic for a fixed
+seed, whatever the output path (wall time goes to stderr, never into the
+report files).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -45,6 +58,20 @@ EXIT_RUNTIME = 3
 # destination is the config key it sets
 _NON_CONFIG_ARGS = ("command", "config")
 
+# (config key, help) of each flag; the flag is --<key> with '-' for '_'
+_FLAGS = (
+    ("n", "number of array elements"),
+    ("theta_deg", "steering angle, degrees"),
+    ("bw", "fractional signal bandwidth"),
+    ("snr_db", "per-channel SNR in dB, or 'inf'"),
+    ("carriers", "OFDM subcarrier count (omit for single carrier)"),
+    ("cp_num", "cyclic prefix numerator k in k/M"),
+    ("combiner", "spatial combiner: ps, idft or reduced"),
+    ("seed", "base RNG seed"),
+    ("out", "output path stem"),
+    ("format", "sweep output format: csv or json"),
+)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -52,32 +79,23 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Beam-squint analysis and link simulation for wideband phased arrays",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("analyze", "closed-form array analysis"),
-        ("simulate", "run one link simulation"),
-        ("sweep", "run a grid of simulations"),
-    ):
-        p = sub.add_parser(name, help=desc)
-        p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--n", type=int, help="number of array elements")
-        p.add_argument("--theta-deg", dest="theta_deg", type=float, help="steering angle, degrees")
-        p.add_argument("--bw", type=float, help="fractional signal bandwidth")
-        p.add_argument("--snr-db", dest="snr_db", help="per-channel SNR in dB, or 'inf'")
-        p.add_argument("--carriers", type=int, help="OFDM subcarrier count (omit for single carrier)")
-        p.add_argument("--cp-num", dest="cp_num", type=int, help="cyclic prefix numerator k in k/M")
-        p.add_argument("--combiner", choices=("ps", "idft", "reduced"), help="spatial combiner")
-        p.add_argument("--seed", type=int, help="base RNG seed")
-        p.add_argument("--out", help="output path stem")
-        p.add_argument("--format", choices=("csv", "json"), help="sweep output format")
+    parser.add_argument(
+        "command",
+        help="analyze (closed-form array analysis), simulate (run one link "
+        "simulation) or sweep (run a grid of simulations)",
+    )
+    parser.add_argument("--config", help="path to a key = value config file")
+    for key, text in _FLAGS:
+        parser.add_argument("--" + key.replace("_", "-"), help=text)
     return parser
 
 
 def _resolve_config(args) -> ExperimentConfig:
     raw = parse_config_file(args.config) if args.config else {}
-    for key, value in vars(args).items():
-        if key not in _NON_CONFIG_ARGS and value is not None:
-            raw[key] = value if isinstance(value, str) else str(value)
+    raw.update(
+        (key, value) for key, value in vars(args).items()
+        if key not in _NON_CONFIG_ARGS and value is not None
+    )
     return ExperimentConfig(raw)
 
 
@@ -110,9 +128,8 @@ def cmd_analyze(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_point(cfg: ExperimentConfig) -> SimReport:
-    ofdm = cfg.ofdm
-    if ofdm is not None:
-        report = run_ofdm(cfg.array, cfg.signal, ofdm, cfg["snr_db"], cfg.combiner)
+    if cfg.ofdm is not None:
+        report = run_ofdm(cfg.array, cfg.signal, cfg.ofdm, cfg["snr_db"], cfg.combiner)
     else:
         report = run_single_carrier(cfg.array, cfg.signal, cfg["snr_db"], cfg.combiner)
     report.config = cfg.echo()
@@ -239,74 +256,65 @@ def cmd_simulate(cfg: ExperimentConfig) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def _sweep_cell(payload: tuple) -> tuple[int, float | None, float | None, str]:
-    index, values = payload
+def _sweep_cell(values: dict) -> tuple[float | None, float | None, str]:
     try:
         report = _run_point(ExperimentConfig(values))
-        return index, report.overall_ssir_db, report.overall_evm_db, ""
+        return report.overall_ssir_db, report.overall_evm_db, ""
     except Exception as exc:  # one failed cell must not end the sweep
-        return index, None, None, f"{type(exc).__name__}: {exc}"
+        return None, None, f"{type(exc).__name__}: {exc}"
+
+
+_SWEPT = ("n", "theta_deg", "bw")
 
 
 def sweep_cells(cfg: ExperimentConfig) -> list[dict]:
-    """Expand the sweep grid into per-cell configs, row-major over
+    """Expand the sweep grid into per-cell config values, row-major over
     (N, theta, BW), each with a seed derived from the base seed and the
-    cell index."""
-    axes = cfg.sweep_axes
-    if axes is None:
+    cell index. An axis left unset takes the base value."""
+    axes = [cfg[f"sweep_{key}"] for key in _SWEPT]
+    if not any(axes):
         raise ConfigError("sweep requires at least one sweep_* axis")
-    ns, thetas, bws = axes
-    base = cfg.echo()
-    for key in ("sweep_n", "sweep_theta_deg", "sweep_bw"):
-        base.pop(key, None)
-    cells = []
-    index = 0
-    for n in ns:
-        for theta in thetas:
-            for bw in bws:
-                values = dict(base)
-                values.update(
-                    n=str(n),
-                    theta_deg=str(theta),
-                    bw=str(bw),
-                    seed=str(derive_seed(cfg["seed"], index)),
-                )
-                cells.append(values)
-                index += 1
-    return cells
+    base = {k: v for k, v in cfg.echo().items() if not k.startswith("sweep_")}
+    grid = itertools.product(*(axis or [cfg[key]] for axis, key in zip(axes, _SWEPT)))
+    return [
+        dict(base, n=n, theta_deg=theta, bw=bw, seed=derive_seed(cfg["seed"], index))
+        for index, (n, theta, bw) in enumerate(grid)
+    ]
+
+
+def _workers() -> int:
+    raw = os.environ.get("SQUINTSIM_WORKERS", "1")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"invalid value for SQUINTSIM_WORKERS: {raw!r} (must be an integer)"
+        ) from None
 
 
 def cmd_sweep(cfg: ExperimentConfig) -> int:
     start = time.monotonic()
     cells = sweep_cells(cfg)
-    workers = int(os.environ.get("SQUINTSIM_WORKERS", "1"))
-    results: list[tuple] = [None] * len(cells)
-    jobs = list(enumerate(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for index, ssir, evm, error in pool.map(_sweep_cell, jobs):
-                results[index] = (ssir, evm, error)
-    else:
-        for job in jobs:
-            index, ssir, evm, error = _sweep_cell(job)
-            results[index] = (ssir, evm, error)
+    workers = _workers()
     rows = []
-    for values, (ssir, evm, error) in zip(cells, results):
-        rows.append(
-            {
-                "n_elements": int(values["n"]),
-                "theta_deg": float(values["theta_deg"]),
-                "bw_frac": float(values["bw"]),
-                "ssir_db": ssir,
-                "evm_db": evm,
-                "error": error,
-            }
-        )
-        if error:
-            print(
-                f"cell {values['n']}/{values['theta_deg']}/{values['bw']}: {error}",
-                file=sys.stderr,
+    with ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = (pool.map if pool else map)(_sweep_cell, cells)
+        for values, (ssir, evm, error) in zip(cells, results):
+            rows.append(
+                {
+                    "n_elements": values["n"],
+                    "theta_deg": values["theta_deg"],
+                    "bw_frac": values["bw"],
+                    "ssir_db": ssir,
+                    "evm_db": evm,
+                    "error": error,
+                }
             )
+            if error:
+                print(
+                    f"cell {values['n']}/{values['theta_deg']}/{values['bw']}: {error}",
+                    file=sys.stderr,
+                )
     out = cfg["out"]
     if cfg["format"] == "json":
         written = [f"{out}.json"]
@@ -341,19 +349,21 @@ def cmd_sweep(cfg: ExperimentConfig) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"analyze": cmd_analyze, "simulate": cmd_simulate, "sweep": cmd_sweep}
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    command = _COMMANDS.get(args.command)
+    if command is None:
+        parser.error(f"unknown command {args.command!r} (choose from {', '.join(_COMMANDS)})")
     try:
-        cfg = _resolve_config(args)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        return cmd_sweep(cfg)
+        return command(_resolve_config(args))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except SquintSimError as exc:
+    except (SquintSimError, OSError) as exc:  # OSError: a report could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

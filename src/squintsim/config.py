@@ -4,11 +4,20 @@ The config file is a flat ``key = value`` text format, one pair per line,
 with ``#`` comments. Unknown keys are rejected. List-valued keys
 (sweep axes) take comma-separated values. Angles are degrees at this
 interface and radians internally.
+
+Validation happens in one place. :class:`ExperimentConfig` runs every
+value through its key's parser in ``_SCHEMA``, whether it comes as text
+(a config file, a flag) or already parsed (a config built in code, a
+sweep cell), and then builds the run's array, signal, OFDM and combiner
+specs, so a config that constructs can run. What is left to fail later
+depends on the (N, theta, BW) point itself, such as a sizing that does
+not divide the array.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .analytic import ArrayConfig
@@ -18,29 +27,34 @@ from .errors import ConfigError, InvalidOrder
 from .ofdm_spec import OfdmSpec
 
 
-def _finite_float(raw: str) -> float:
+def _int(raw) -> int:
+    # text is parsed; anything else must already be an integer (2.5 is not)
+    return int(raw) if isinstance(raw, str) else operator.index(raw)
+
+
+def _finite_float(raw) -> float:
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("must be finite")
     return value
 
 
-def _snr(raw: str) -> float:
+def _snr(raw) -> float:
     value = float(raw)
     if math.isnan(value) or value == -math.inf:
         raise ValueError("must be finite or 'inf'")
     return value
 
 
-def _non_negative_int(raw: str) -> int:
-    value = int(raw)
+def _non_negative_int(raw) -> int:
+    value = _int(raw)
     if value < 0:
         raise ValueError("must be non-negative")
     return value
 
 
 def _choice(names, message: str):
-    def parse(raw: str) -> str:
+    def parse(raw) -> str:
         if raw not in names:
             raise ValueError(message)
         return raw
@@ -48,31 +62,36 @@ def _choice(names, message: str):
 
 
 def _list(item):
-    def parse(raw: str) -> list:
-        return [item(v) for v in raw.split(",") if v.strip()]
+    def parse(raw) -> list:
+        if isinstance(raw, str):
+            raw = [v for v in raw.split(",") if v.strip()]
+        values = [item(v) for v in raw]
+        if not values:
+            raise ValueError("must list at least one value")
+        return values
     return parse
 
 
-# key: (parser of the stripped text, default)
+# key: (parser of a value, text or already parsed; default)
 _SCHEMA: dict[str, tuple] = {
-    "n": (int, 8),
+    "n": (_int, 8),
     "theta_deg": (_finite_float, 30.0),
     "spacing": (_finite_float, 0.5),
     "bw": (_finite_float, 0.2),
     "snr_db": (_snr, math.inf),
     "combiner": (_choice(_KINDS, f"must be one of {sorted(_KINDS)}"), PHASE_SUM),
-    "n_sub": (int, None),
-    "m_group": (int, None),
-    "carriers": (int, None),
-    "cp_num": (int, 2),
-    "n_ofdm_symbols": (int, 150),
-    "n_symbols": (int, 10_000),
-    "mod_order": (int, 16),
+    "n_sub": (_int, None),
+    "m_group": (_int, None),
+    "carriers": (_int, None),
+    "cp_num": (_int, 2),
+    "n_ofdm_symbols": (_int, 150),
+    "n_symbols": (_int, 10_000),
+    "mod_order": (_int, 16),
     "rrc_rolloff": (_finite_float, 0.25),
-    "rrc_span": (int, 16),
-    "oversample": (int, 8),
+    "rrc_span": (_int, 16),
+    "oversample": (_int, 8),
     "seed": (_non_negative_int, 0),
-    "sweep_n": (_list(int), None),
+    "sweep_n": (_list(_int), None),
     "sweep_theta_deg": (_list(_finite_float), None),
     "sweep_bw": (_list(_finite_float), None),
     "out": (str, "report"),
@@ -85,20 +104,28 @@ _OUTPUT_KEYS = frozenset({"out", "format"})
 
 
 def _parse_value(key: str, raw, parse):
-    if not isinstance(raw, str):
-        return raw
-    raw = raw.strip()
+    if isinstance(raw, str):
+        raw = raw.strip()
     try:
         return parse(raw)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid value for '{key}': {raw!r} ({exc})") from None
 
 
 @dataclass
 class ExperimentConfig:
-    """Fully resolved parameters of one CLI invocation."""
+    """Fully resolved and validated parameters of one CLI invocation.
+
+    Construction parses every value and builds the run's specs
+    (``array``, ``signal``, ``ofdm``, ``combiner``); any invalid value
+    raises :class:`ConfigError` here and nowhere later.
+    """
 
     values: dict = field(default_factory=dict)
+    array: ArrayConfig = field(init=False, repr=False)
+    signal: SignalSpec = field(init=False, repr=False)
+    ofdm: OfdmSpec | None = field(init=False, repr=False)
+    combiner: CombinerSpec = field(init=False, repr=False)
 
     def __post_init__(self):
         resolved = {k: default for k, (_, default) in _SCHEMA.items()}
@@ -106,70 +133,38 @@ class ExperimentConfig:
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown config key: '{key}'")
             resolved[key] = _parse_value(key, raw, _SCHEMA[key][0])
-        self.values = resolved
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    @property
-    def array(self) -> ArrayConfig:
+        v = self.values = resolved
+        if v["combiner"] != PHASE_SUM and v["carriers"] is None:
+            raise ConfigError("IDFT combiners require 'carriers' to be set")
         try:
-            return ArrayConfig(
-                n_elements=self["n"],
-                steer_angle=math.radians(self["theta_deg"]),
-                spacing_ratio=self["spacing"],
+            self.array = ArrayConfig(
+                n_elements=v["n"],
+                steer_angle=math.radians(v["theta_deg"]),
+                spacing_ratio=v["spacing"],
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    @property
-    def signal(self) -> SignalSpec:
-        try:
-            return SignalSpec(
-                fractional_bandwidth=self["bw"],
-                n_symbols=self["n_symbols"],
-                modulation_order=self["mod_order"],
-                rrc_rolloff=self["rrc_rolloff"],
-                rrc_span=self["rrc_span"],
-                oversample=self["oversample"],
-                seed=self["seed"],
+            self.signal = SignalSpec(
+                fractional_bandwidth=v["bw"],
+                n_symbols=v["n_symbols"],
+                modulation_order=v["mod_order"],
+                rrc_rolloff=v["rrc_rolloff"],
+                rrc_span=v["rrc_span"],
+                oversample=v["oversample"],
+                seed=v["seed"],
+            )
+            self.ofdm = None if v["carriers"] is None else OfdmSpec(
+                m_carriers=v["carriers"],
+                n_ofdm_symbols=v["n_ofdm_symbols"],
+                cp_ratio_num=v["cp_num"],
+            )
+            self.combiner = (
+                CombinerSpec.reduced_idft(v["n_sub"], v["m_group"])
+                if v["combiner"] == REDUCED_IDFT else CombinerSpec(v["combiner"])
             )
         except (ValueError, InvalidOrder) as exc:
             raise ConfigError(str(exc)) from None
 
-    @property
-    def ofdm(self) -> OfdmSpec | None:
-        if self["carriers"] is None:
-            return None
-        try:
-            return OfdmSpec(
-                m_carriers=self["carriers"],
-                n_ofdm_symbols=self["n_ofdm_symbols"],
-                cp_ratio_num=self["cp_num"],
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-    @property
-    def combiner(self) -> CombinerSpec:
-        kind = self["combiner"]
-        if kind != PHASE_SUM and self.ofdm is None:
-            raise ConfigError("IDFT combiners require 'carriers' to be set")
-        if kind == REDUCED_IDFT:
-            return CombinerSpec.reduced_idft(self["n_sub"], self["m_group"])
-        return CombinerSpec(kind)
-
-    @property
-    def sweep_axes(self) -> tuple[list[int], list[float], list[float]] | None:
-        ns, thetas, bws = self["sweep_n"], self["sweep_theta_deg"], self["sweep_bw"]
-        if ns is None and thetas is None and bws is None:
-            return None
-        ns = ns or [self["n"]]
-        thetas = thetas or [self["theta_deg"]]
-        bws = bws or [self["bw"]]
-        if not (ns and thetas and bws):
-            raise ConfigError("sweep axes must be non-empty")
-        return ns, thetas, bws
+    def __getitem__(self, key):
+        return self.values[key]
 
     def echo(self) -> dict:
         """JSON-serializable echo of the keys that decide the result.

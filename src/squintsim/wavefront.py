@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import ArrayConfig
+from .analytic import ArrayConfig, _dirichlet
 from .dsp import ComplexSignal, SignalSpec, awgn, _fractional_delay_array
 from .errors import IndivisibleSizing, InsufficientGuard
 
@@ -126,28 +126,6 @@ def _check_guard(x: np.ndarray, n_elements: int, dtau: float) -> None:
         )
 
 
-def _dirichlet(x: np.ndarray, n: int) -> np.ndarray:
-    """The real Dirichlet kernel ``sin(pi n x) / sin(pi x)``, which is
-    ``sum_k exp(-j 2 pi x (k - (n - 1) / 2))`` over ``k < n``.
-
-    ``x`` is reduced to ``u = x - k`` about its nearest integer ``k`` (an
-    exact subtraction), so the removable poles at integer ``x`` give
-    exactly ``n`` times the sign ``(-1)^(k (n - 1))``, which is +1 for odd
-    ``n``. One element's kernel is all ones. Every step is odd-symmetric
-    in ``x``, so the kernel is exactly even: ``D(-x) == D(x)`` bit for
-    bit."""
-    if n == 1:
-        return np.ones_like(x)
-    k = np.rint(x)
-    u = x - k
-    den = np.sin(np.pi * u)
-    amp = np.full_like(u, float(n))
-    np.divide(np.sin(np.pi * n * u), den, out=amp, where=den != 0.0)
-    if n % 2 == 0:
-        amp[(k.astype(np.int64) & 1) == 1] *= -1.0
-    return amp
-
-
 def _even_extension(half: np.ndarray, length: int) -> np.ndarray:
     """The even sequence ``full[k] = half[min(k, length - k)]`` of
     ``length`` bins from its non-negative bins ``0 .. length // 2``."""
@@ -209,8 +187,7 @@ def branch_responses(
     x = np.fft.fftfreq(len(tx)) * element_delay_samples(cfg, spec, tx.sample_rate)
     # the centre of branch 0 leads the centroid by (n_r - 1) / 2 strides
     response = np.exp(1j * np.pi * (n_r - 1) * n_sub * x)
-    if n_sub > 1:  # one element's kernel is all ones
-        response *= _even_extension(half, len(tx))
+    response *= _even_extension(half, len(tx))
     stride = np.exp(-2j * np.pi * n_sub * x)
     for _ in range(n_r):
         yield response

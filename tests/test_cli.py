@@ -16,8 +16,17 @@ from squintsim import (
     run_ofdm,
     run_single_carrier,
 )
-from squintsim.cli import EXIT_CONFIG, EXIT_OK, _fixed_rows, _write_simulate_outputs, main
-from squintsim.config import ExperimentConfig, parse_config_file
+from squintsim.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_RUNTIME,
+    _build_parser,
+    _fixed_rows,
+    _resolve_config,
+    _write_simulate_outputs,
+    main,
+)
+from squintsim.config import _SCHEMA, ExperimentConfig, parse_config_file
 from squintsim.errors import ConfigError
 
 
@@ -64,6 +73,20 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match=key):
             ExperimentConfig({key: value})
 
+    @pytest.mark.parametrize(
+        "values, key",
+        [
+            ({"seed": -1, "sweep_n": [2, 4]}, "seed"),
+            ({"snr_db": float("nan")}, "snr_db"),
+            ({"n": 2.5}, "n"),
+            ({"sweep_bw": []}, "sweep_bw"),
+        ],
+    )
+    def test_parsed_values_go_through_schema(self, values, key):
+        # a config built in code is parsed like a file's text
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig(values)
+
     @pytest.mark.parametrize("value", ["inf", "+inf", "Infinity"])
     def test_snr_accepts_positive_infinity(self, value):
         assert ExperimentConfig({"snr_db": value})["snr_db"] == np.inf
@@ -78,6 +101,42 @@ class TestConfigFile:
         assert code == EXIT_OK
         payload = json.loads((tmp_path / "r.json").read_text())
         assert payload["config"]["n"] == 16
+
+
+class TestParser:
+    # one text per flag, each unlike its key's default
+    FLAG_VALUES = {
+        "n": "12", "theta_deg": "20", "bw": "0.3", "snr_db": "15", "carriers": "32",
+        "cp_num": "3", "combiner": "reduced", "seed": "5", "out": "x", "format": "json",
+    }
+
+    def test_each_flag_sets_its_config_key(self):
+        parser = _build_parser()
+        flags = {
+            action.dest: action.option_strings for action in parser._actions
+            if action.option_strings and action.dest not in ("help", "version", "config")
+        }
+        assert flags == {key: ["--" + key.replace("_", "-")] for key in self.FLAG_VALUES}
+        for key, text in self.FLAG_VALUES.items():
+            argv = ["analyze", "--" + key.replace("_", "-"), text]
+            if key == "combiner":
+                argv += ["--carriers", "16"]  # an IDFT combiner needs tones
+            parse, default = _SCHEMA[key]
+            assert _resolve_config(parser.parse_args(argv))[key] == parse(text) != default
+
+    @pytest.mark.parametrize("flag, value, key", [
+        ("--n", "abc", "'n'"),
+        ("--combiner", "foo", "'combiner'"),
+    ])
+    def test_malformed_flag_is_config_error_naming_key(self, capsys, flag, value, key):
+        assert run_cli(["analyze", flag, value]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    def test_unknown_command_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["bogus", "--n", "4"])
+        assert exc.value.code == 2
+        assert "bogus" in capsys.readouterr().err
 
 
 class TestAnalyze:
@@ -126,6 +185,14 @@ class TestAnalyze:
     def test_invalid_flag_value_is_config_error(self, capsys):
         code = run_cli(["analyze", "--n", "0", "--theta-deg", "30"])
         assert code == EXIT_CONFIG
+
+    def test_idft_without_carriers_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "a"
+        code = run_cli(["analyze", "--n", "16", "--theta-deg", "30", "--bw", "0.2",
+                        "--combiner", "idft", "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "carriers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_nan_angle_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "nan"
@@ -212,6 +279,12 @@ class TestSimulate:
         assert "modulation_order" in capsys.readouterr().err
         assert not list(tmp_path.glob("sim*"))
 
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        args = self._args(tmp_path, out=tmp_path / "missing" / "sim")
+        assert run_cli(args) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "missing" in err
+
     def test_config_echo_round_trips(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("n_symbols = 400\n")
@@ -296,6 +369,13 @@ def test_fixed_rows_match_percent_format_property(case):
 
 
 class TestSweep:
+    @staticmethod
+    def _grid(tmp_path):
+        # a two-cell clean single-carrier grid
+        cfgfile = tmp_path / "cells.cfg"
+        cfgfile.write_text("sweep_n = 2,4\nsnr_db = inf\nn_symbols = 300\n")
+        return ["--config", str(cfgfile)]
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         cfgfile = tmp_path / "s.cfg"
         cfgfile.write_text("sweep_n = 2,4\nsnr_db = inf\nn_symbols = 300\nseed = -1\n")
@@ -303,6 +383,47 @@ class TestSweep:
         assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
         assert not list(tmp_path.glob("g*"))
+
+    def test_bad_base_setting_is_config_error(self, tmp_path, capsys):
+        # a setting no cell axis changes fails once, before any cell runs
+        cfgfile = tmp_path / "s.cfg"
+        cfgfile.write_text("sweep_n = 2,4\nsnr_db = inf\nn_symbols = 300\nmod_order = 8\n")
+        out = tmp_path / "g"
+        assert run_cli(["sweep", "--config", str(cfgfile), "--out", str(out)]) == EXIT_CONFIG
+        assert "modulation_order" in capsys.readouterr().err
+        assert not list(tmp_path.glob("g*"))
+
+    def test_malformed_workers_is_config_error(self, tmp_path, monkeypatch, capsys):
+        import squintsim.cli as cli
+
+        def no_cell(values):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(cli, "_sweep_cell", no_cell)
+        monkeypatch.setenv("SQUINTSIM_WORKERS", "two")
+        out = tmp_path / "g"
+        assert run_cli(["sweep", "--n", "4", "--out", str(out)] + self._grid(tmp_path)) == EXIT_CONFIG
+        assert "SQUINTSIM_WORKERS" in capsys.readouterr().err
+        assert not list(tmp_path.glob("g*"))
+
+    @pytest.mark.parametrize("workers", ["0", "1", "-3"])
+    def test_workers_below_two_run_serially(self, tmp_path, monkeypatch, workers):
+        import squintsim.cli as cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setenv("SQUINTSIM_WORKERS", workers)
+        out = tmp_path / "g"
+        assert run_cli(["sweep", "--out", str(out)] + self._grid(tmp_path)) == EXIT_OK
+        assert len((tmp_path / "g.csv").read_text().splitlines()) == 3
+
+    def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "g"
+        assert run_cli(["sweep", "--out", str(out)] + self._grid(tmp_path)) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "missing" in err
 
     def test_grid_csv_schema_and_determinism(self, tmp_path):
         cfgfile = tmp_path / "s.cfg"
