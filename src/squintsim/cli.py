@@ -240,12 +240,16 @@ def _write_simulate_outputs(report: SimReport, out: str) -> list[str]:
 
 
 def cmd_simulate(cfg: ExperimentConfig) -> int:
+    """Run one link and write its reports. The summary on stderr gives EVM,
+    SSIR, for OFDM the combining side (window or branch) and the frame
+    length L, and the wall time."""
     start = time.monotonic()
     report = _run_point(cfg)
     for path in _write_simulate_outputs(report, cfg["out"]):
         print(path)
+    chain = f", {report.combining} side, L {report.frame_length}" if report.combining else ""
     print(
-        f"evm {report.overall_evm_db:.2f} dB, ssir {report.overall_ssir_db:.2f} dB "
+        f"evm {report.overall_evm_db:.2f} dB, ssir {report.overall_ssir_db:.2f} dB{chain} "
         f"({time.monotonic() - start:.1f} s)",
         file=sys.stderr,
     )

@@ -15,6 +15,14 @@ kernel in the tone domain (:func:`combine_branch_grids`) to the demodulated
 branch streams; the DFT is linear, so this equals combining the element
 streams in the time domain, which the tests keep as the reference.
 
+With one tone per group (m_group = 1: the full IDFT and any ``(n_sub, 1)``
+sizing) the weights of tone k are the conjugate delays of the branches at
+the tone frequency, so the combined response of tone k is a closed form:
+the sub-array kernel times the N_r-branch Dirichlet kernel centred on that
+frequency, ``D_n_sub(f dtau) D_N_r((f - f_k) n_sub dtau)``, times a
+constant phase. The OFDM chain uses it to combine on the DFT-window side,
+at a cost independent of N (see :mod:`squintsim.txrx`).
+
 Weight generation and per-output combining are independent per output row;
 combining uses fixed-order numpy reductions so parallel callers reproduce
 sequential results exactly.

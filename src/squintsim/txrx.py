@@ -22,12 +22,34 @@ filter is real and even in frequency: the zero-phase RRC taps are real and
 even, and after centroid sync so is the whole array's impulse response.
 So it is built on the real half spectrum (``rfft`` and
 :func:`squintsim.wavefront.array_kernel`) and even-extended, and its
-symbol-spaced impulse response is real. Receiver
-noise is drawn once, at the combiner output. The element noise is white
-and i.i.d., the delays are unitary, the weights have unit modulus and the
-matched filter has unit energy, so every combiner's output noise is
-exactly CN(0, 10^(-snr_db/10) / N) per symbol (single carrier) or per tone
-and symbol (OFDM).
+symbol-spaced impulse response is real.
+
+The OFDM chain combines on one of two sides, both exact:
+
+* the branch side multiplies the frame spectrum by each branch response,
+  demodulates each branch stream and applies the tone-domain kernel
+  (:func:`squintsim.combine.combine_branch_grids`): N_r full-frame
+  transforms;
+* the DFT-window side serves one tone per group (the full IDFT and any
+  ``(n_sub, 1)`` sizing). Tone k's weights undo each branch's delay at
+  the tone frequency, so its combined response is one array kernel
+  centred on that frequency. With the frame length L a multiple of Mq,
+  every tone frequency is an FFT bin and each symbol's tones are one
+  length-Mq FFT of the frame times the box-summed array impulse response,
+  folded to Mq samples, plus an exact correction on the bins where
+  ``f - f_k`` wraps past Nyquist (:func:`_window_combine`). Its cost, S
+  folds of length L plus O(L log L), does not depend on N.
+
+The chain takes the window side where its op count, ``S L + L log2 L``,
+is below the branch side's ``N_r L log2 L``, and pads that frame to Mq
+times a 7-smooth count (L may be odd); every other frame pads to the least
+7-smooth length.
+
+Receiver noise is drawn once, at the combiner output. The element noise is
+white and i.i.d., the delays are unitary, the weights have unit modulus
+and the matched filter has unit energy, so every combiner's output noise
+is exactly CN(0, 10^(-snr_db/10) / N) per symbol (single carrier) or per
+tone and symbol (OFDM).
 
 Runs are pure functions of (configs, seed); sweep points may execute
 concurrently when every point derives its own seed.
@@ -41,10 +63,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import analytic
-from .analytic import AnalyticReport, ArrayConfig
+from .analytic import AnalyticReport, ArrayConfig, _dirichlet
 from .combine import (
     PHASE_SUM,
     CombinerSpec,
+    _check_divisible,
     combine_branch_grids,
     reduced_idft_weights,
 )
@@ -86,6 +109,9 @@ class SimReport:
     references, shape (K, 2) complex, thinned evenly to at most 4096 rows.
     ``analytic`` echoes the closed-form predictions for the same
     configuration; ``config`` echoes the resolved run parameters.
+    ``combining`` (``"window"`` or ``"branch"``, OFDM only) and
+    ``frame_length`` say what the chain did; they are for diagnostics and
+    never enter a report file.
     """
 
     overall_evm_db: float
@@ -94,6 +120,8 @@ class SimReport:
     constellation: np.ndarray
     analytic: AnalyticReport
     config: dict = field(default_factory=dict)
+    combining: str | None = None
+    frame_length: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +162,17 @@ def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) 
     DFT windows start right after each cyclic prefix, so a circular delay
     of up to the prefix length appears as a pure per-tone phase ramp
     ``exp(-j 2 pi (m - m0) d / M)`` with no inter-carrier interference.
+    The OFDM chain's branch side demodulates each branch stream with the
+    same transform on plain arrays, without wrapping it in a
+    :class:`ComplexSignal`; its window side demodulates no stream but
+    takes each tone's window DFT inside the closed form of
+    :func:`_window_combine` (see :func:`_ofdm_receive`).
     """
-    x = signal.samples
+    return _demodulate(signal.samples, ofdm, oversample)
+
+
+def _demodulate(x: np.ndarray, ofdm: OfdmSpec, oversample: int) -> np.ndarray:
+    # the DFT window of each block, the prefix stripped, at the tone bins
     m, q = ofdm.m_carriers, oversample
     block = (m + ofdm.cp_ratio_num) * q
     if len(x) % block:
@@ -303,39 +340,202 @@ def run_single_carrier(
 # OFDM chain
 # ---------------------------------------------------------------------------
 
-def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig):
+def _ofdm_guard(cfg: ArrayConfig, spec: SignalSpec) -> int:
+    # zeros on either side of the frame: the array's delay spread plus margin
+    spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, spec.oversample))
+    return int(np.ceil(spread)) + 16
+
+
+def _ofdm_length(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig, window: bool) -> int:
+    """The padded frame length L: the frame between two guards, padded to
+    the least 7-smooth length, or for the window side to Mq times the least
+    7-smooth count (every tone frequency is then an FFT bin)."""
+    q = spec.oversample
+    n = ofdm.n_ofdm_symbols * (ofdm.m_carriers + ofdm.cp_ratio_num) * q
+    n += 2 * _ofdm_guard(cfg, spec)
+    if not window:
+        return _smooth_length(n)
+    mq = ofdm.m_carriers * q
+    return mq * _smooth_length(-(-n // mq))
+
+
+def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig, window: bool = False):
     """The cyclic-prefixed frame between zero guards, the transmitted grid,
     and the leading guard length. The trailing zeros, at least one guard,
-    pad the frame to a 7-smooth length, so its FFTs stay fast."""
+    pad the frame to the length :func:`_ofdm_length` gives for the
+    combining side, so its FFTs stay fast."""
     rng = np.random.default_rng(spec.seed)
     shape = (ofdm.n_ofdm_symbols, ofdm.m_carriers)
     indices = rng.integers(0, spec.modulation_order, shape)
     grid = qam_map(indices.ravel(), spec.modulation_order).samples.reshape(shape)
     q = spec.oversample
     frame = ofdm_modulate(grid, ofdm, q).samples
-    spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, q))
-    guard = int(np.ceil(spread)) + 16
-    padded = np.zeros(_smooth_length(len(frame) + 2 * guard), np.complex128)
+    guard = _ofdm_guard(cfg, spec)
+    padded = np.zeros(_ofdm_length(spec, ofdm, cfg, window), np.complex128)
     padded[guard:guard + len(frame)] = frame
     return ComplexSignal(padded, sample_rate=float(q)), grid, guard
+
+
+def _window_side(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec,
+                 n_sub: int, m_group: int) -> bool:
+    """Whether the chain combines on the DFT-window side: only for one
+    tone per group, and only where its op count, S folds of length L plus
+    one L log2 L transform, is below the branch side's N_r L log2 L (L of
+    the window-side frame)."""
+    if m_group != 1:
+        return False
+    log_l = math.log2(_ofdm_length(spec, ofdm, cfg, True))
+    return ofdm.n_ofdm_symbols + log_l < cfg.n_elements // n_sub * log_l
+
+
+def _branch_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: SignalSpec,
+                    ofdm: OfdmSpec, n_sub: int, m_group: int) -> np.ndarray:
+    """The clean combined grid on the branch side: one full-frame inverse
+    FFT and one demodulation per branch, then the tone-domain kernel."""
+    weights = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
+    q = spec.oversample
+    shape = (ofdm.n_ofdm_symbols, ofdm.m_carriers)
+    frame = slice(guard, guard + shape[0] * (ofdm.m_carriers + ofdm.cp_ratio_num) * q)
+    grids = np.empty((cfg.n_elements // n_sub,) + shape, dtype=np.complex128)
+    spectrum = np.fft.fft(tx.samples)
+    for r, response in enumerate(branch_responses(tx, cfg, spec, n_sub)):
+        grids[r] = _demodulate(np.fft.ifft(spectrum * response)[frame], ofdm, q)
+    return combine_branch_grids(grids, weights, cfg.n_elements)
+
+
+def _box_response(p: np.ndarray, length: int, width: int) -> np.ndarray:
+    """``sum_{n < width} exp(j 2 pi p n / length)`` at integer bins ``p``:
+    the response of a forward ``width``-sample box sum on a ``length``
+    grid, its linear phase reduced exactly in integers."""
+    phase = np.exp(1j * np.pi * ((p * (width - 1)) % (2 * length)) / length)
+    return phase * _dirichlet(p / length, width)
+
+
+def _window_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: SignalSpec,
+                    ofdm: OfdmSpec, n_sub: int) -> np.ndarray:
+    """The clean combined grid on the DFT-window side, for one tone per
+    group; ``len(tx)`` must be a multiple of Mq.
+
+    The weights of tone k undo each branch's delay at the tone frequency
+    f_k = kappa_k / Mq, so the combined response of tone k is the
+    sub-array kernel times the N_r-branch array kernel centred on f_k,
+    ``D_n_sub(f dtau) D_N_r((f - f_k) n_sub dtau)``, times a constant.
+    With every f_k an FFT bin, that centred kernel is the array impulse
+    response modulated by f_k, and the modulation cancels the window's
+    DFT. Symbol s's window starts at a_s, and ``abar`` is the Mq-sample
+    box sum of the array impulse response (one ``irfft``). Then
+    ``out[s, k] = C_k exp(j 2 pi kappa_k a_s / Mq)
+    FFT_Mq(fold_Mq(z abar[(a_s - .) mod L]))[k]``, with z the frame
+    filtered by the sub-array kernel and
+    ``C_k = exp(j 2 pi kappa_k (N_r - 1)/2 n_sub dtau / Mq) / (N sqrt(Mq))``.
+    The branch side's kernel lives on the ``fftfreq`` grid, where
+    ``f - f_k`` wraps past Nyquist on the |kappa_k| L / Mq bins nearest
+    it; :func:`_nyquist_correction` adds the exact difference there.
+    """
+    x = tx.samples
+    length = len(x)
+    m, q = ofdm.m_carriers, spec.oversample
+    mq = m * q
+    n_r = cfg.n_elements // n_sub
+    stride = n_sub * element_delay_samples(cfg, spec, q)
+    step = (m + ofdm.cp_ratio_num) * q
+    starts = guard + ofdm.cp_ratio_num * q + step * np.arange(ofdm.n_ofdm_symbols)
+    spectrum = np.fft.fft(x)
+    sub = array_kernel(tx, cfg, spec, n_sub)  # also checks the guards
+    if n_sub > 1:
+        spectrum *= _even_extension(sub, length)
+        x = np.fft.ifft(spectrum)
+    p = np.arange(length // 2 + 1)
+    abar = np.fft.irfft(_dirichlet(p * stride / length, n_r) * _box_response(p, length, mq),
+                        length)
+    # row L - a_s of the doubled reversal holds abar[(a_s - u) mod L] over u;
+    # the starts step evenly, so the S windows are one strided view
+    rev = np.roll(abar[::-1], 1)
+    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev]), length)
+    windows = rows[length - starts[0]::-step][:len(starts)].reshape(len(starts), -1, mq)
+    folds = np.einsum("sjm,jm->sm", windows, np.ascontiguousarray(x.real).reshape(-1, mq))
+    folds = folds + 1j * np.einsum("sjm,jm->sm", windows,
+                                   np.ascontiguousarray(x.imag).reshape(-1, mq))
+    kappa = np.arange(m) - ofdm.center_tone
+    grid = np.fft.fft(folds, axis=1)[:, kappa % mq]
+    grid += _nyquist_correction(spectrum, starts, ofdm, q, stride, n_r) / length
+    const = np.exp(1j * np.pi * kappa * (n_r - 1) * stride / mq) / (cfg.n_elements * math.sqrt(mq))
+    return grid * const * np.exp(2j * np.pi * (np.outer(starts, kappa) % mq) / mq)
+
+
+def _nyquist_correction(spectrum: np.ndarray, starts: np.ndarray, ofdm: OfdmSpec, q: int,
+                        stride: float, n_r: int) -> np.ndarray:
+    """L times what the wrapped bins add to the window side's grid, before
+    its constant and window phase (see :func:`_window_combine`).
+
+    Tone k's wrapped bins are the |kappa_k| J nearest Nyquist (J = L / Mq):
+    the lowest for kappa_k > 0, the highest for kappa_k < 0. On side sigma
+    write bin ``p = e + sigma (b J + r)`` (e the extreme ``fftfreq`` bin,
+    block b, 0 <= r < J). Then ``p - kappa_k J = e + sigma (r - c J)``
+    with ``c = |kappa_k| - b``, so the kernel difference, the box response
+    of the window and the window phase depend on (c, r) alone, up to the
+    factor ``exp(-j 2 pi sigma c s cp / M)`` of symbol s. Each side is
+    therefore a convolution over blocks: one length-M FFT over the block
+    index of the spectrum and of the kernel, a circular shift of the
+    kernel by ``s cp`` per symbol, a contraction over r, and one length-M
+    IFFT per symbol.
+    """
+    length = len(spectrum)
+    m, cp = ofdm.m_carriers, ofdm.cp_ratio_num
+    mq = m * q
+    r = np.arange(length // mq)
+    out = np.zeros((len(starts), m), dtype=np.complex128)
+    for sign, edge, n_tones in ((1, -(length // 2), m - 1 - ofdm.center_tone),
+                                (-1, (length - 1) // 2, ofdm.center_tone)):
+        blocks = np.arange(1, n_tones + 1)[:, None]
+        wrapped = edge + sign * (r - blocks * len(r))  # p - kappa_k J, not reduced
+        kernel = np.zeros((m, len(r)), dtype=np.complex128)
+        kernel[1:n_tones + 1] = (
+            (_dirichlet(wrapped * stride / length, n_r)
+             - _dirichlet((wrapped + sign * length) * stride / length, n_r))
+            * _box_response(wrapped, length, mq)
+            * np.exp(-2j * np.pi * (sign * blocks * starts[0] % mq) / mq)
+        )
+        bins = np.zeros((m, len(r)), dtype=np.complex128)
+        bins[:n_tones] = spectrum[(edge + sign * ((blocks - 1) * len(r) + r)) % length]
+        bins = np.fft.fft(bins, axis=0)
+        kernel = np.fft.fft(kernel, axis=0)
+        kernel = np.concatenate([kernel, kernel])  # rows o .. o + M: shifted by o
+        twiddle = np.exp(2j * np.pi * (np.outer(starts, edge + sign * r) % length) / length)
+        conv = np.empty((len(starts), m), dtype=np.complex128)
+        for s, phases in enumerate(twiddle):
+            shift = sign * s * cp % m
+            conv[s] = (bins * phases * kernel[shift:shift + m]).sum(axis=1)
+        tones = ofdm.center_tone + sign * np.arange(1, n_tones + 1)
+        out[:, tones] = np.fft.ifft(conv, axis=1)[:, 1:n_tones + 1]
+    return out
 
 
 def _ofdm_receive(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, snr_db: float,
                   combiner: CombinerSpec):
     """Transmitted grid, then the combined tone grid without and with
-    receiver noise (the same array twice at snr = inf)."""
-    tx, ref_grid, guard = _ofdm_transmit(spec, ofdm, cfg)
+    receiver noise (the same array twice at snr = inf), and what the chain
+    did: the combining side (``"window"`` or ``"branch"``) and the frame
+    length L.
+
+    The branch side (:func:`_branch_combine`) costs N_r full-frame
+    transforms. For one tone per group (the full IDFT and any
+    ``(n_sub, 1)`` sizing), the window side (:func:`_window_combine`) is
+    exact too and costs S folds of length L plus O(L log L), whatever N.
+    The chain takes it where that op count, ``S L + L log2 L``, is below
+    ``N_r L log2 L``, and pads its frame to Mq times a 7-smooth count;
+    every other run keeps the least 7-smooth length.
+    """
     n_sub, m_group = combiner.resolve_sizing(cfg, ofdm, spec.fractional_bandwidth)
-    weights = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
-    q = spec.oversample
-    frame = slice(guard, guard + ofdm.n_ofdm_symbols * (ofdm.m_carriers + ofdm.cp_ratio_num) * q)
-    grids = np.empty((cfg.n_elements // n_sub,) + ref_grid.shape, dtype=np.complex128)
-    spectrum = np.fft.fft(tx.samples)
-    for r, response in enumerate(branch_responses(tx, cfg, spec, n_sub)):
-        stream = np.fft.ifft(spectrum * response)[frame]
-        grids[r] = ofdm_demodulate(ComplexSignal(stream, float(q)), ofdm, q)
-    rx_clean = combine_branch_grids(grids, weights, cfg.n_elements)
-    return ref_grid, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
+    _check_divisible(cfg, ofdm, n_sub, m_group)
+    window = _window_side(cfg, spec, ofdm, n_sub, m_group)
+    tx, ref_grid, guard = _ofdm_transmit(spec, ofdm, cfg, window)
+    if window:
+        rx_clean = _window_combine(tx, guard, cfg, spec, ofdm, n_sub)
+    else:
+        rx_clean = _branch_combine(tx, guard, cfg, spec, ofdm, n_sub, m_group)
+    noisy = _add_receiver_noise(rx_clean, cfg, spec, snr_db)
+    return ref_grid, rx_clean, noisy, ("window" if window else "branch", len(tx))
 
 
 def run_ofdm(
@@ -350,15 +550,16 @@ def run_ofdm(
     Chain: per-tone QAM grid, oversampled inverse transform with cyclic
     prefix, plane-wave reception, phase alignment and centroid timing (one
     response per combiner branch), prefix-stripped DFT windows on each
-    branch, the combiner's weights per tone group, receiver noise at the
-    combiner output, then per-tone EVM against the transmitted grid. The
+    branch, the combiner's weights per tone group (for one tone per group,
+    where cheaper, combined exactly on the DFT-window side instead; see
+    :func:`_ofdm_receive`), receiver noise at the combiner output, then
+    per-tone EVM against the transmitted grid. The
     overall figure is the RMS across all tones and symbols; SSIR is that of
     the noiseless output.
     """
     _check_snr(snr_db)
-    ssir_tones, evm_tones, constellation = _score(
-        *_ofdm_receive(cfg, spec, ofdm, snr_db, combiner), snr_db
-    )
+    ref_grid, rx_clean, rx, (side, length) = _ofdm_receive(cfg, spec, ofdm, snr_db, combiner)
+    ssir_tones, evm_tones, constellation = _score(ref_grid, rx_clean, rx, snr_db)
     per_tone = [
         ToneMetrics(m, float(evm_tones[m]), float(ssir_tones[m]))
         for m in range(ofdm.m_carriers)
@@ -370,4 +571,6 @@ def run_ofdm(
         constellation=constellation,
         analytic=analytic.report(cfg, spec.fractional_bandwidth, ofdm.m_carriers),
         config={},
+        combining=side,
+        frame_length=length,
     )

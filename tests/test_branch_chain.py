@@ -2,8 +2,9 @@
 
 The chains receive each combiner branch through one frequency response
 (``branch_responses``, in closed form), combine in the tone domain with
-the reduced-IDFT kernel, run the single-carrier link at the symbol rate,
-and draw receiver noise once at the combiner output. The references are
+the reduced-IDFT kernel or, for one tone per group, on the DFT-window side
+(which the branch side pins), run the single-carrier link at the symbol
+rate, and draw receiver noise once at the combiner output. The references are
 the per-element stages of :mod:`squintsim.wavefront` (``propagate``,
 ``phase_align``, ``add_noise``, ``sync_mean_delay``), and the time-domain
 combiners and the oversampled single-carrier product of ``oracles``.
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -38,7 +39,15 @@ from squintsim import (
 )
 from squintsim.dsp import rrc_taps
 from squintsim.errors import IndivisibleSizing, InsufficientGuard
-from squintsim.txrx import _ofdm_receive, _ofdm_transmit, _sc_receive, _sc_transmit
+from squintsim.txrx import (
+    _branch_combine,
+    _ofdm_receive,
+    _ofdm_transmit,
+    _sc_receive,
+    _sc_transmit,
+    _window_combine,
+    _window_side,
+)
 from squintsim.wavefront import (
     _dirichlet,
     array_kernel,
@@ -183,8 +192,13 @@ class TestToneGridEquivalence:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        tx, _, guard = _ofdm_transmit(self.spec, self.ofdm, self.cfg)
-        return oracle_streams(tx, self.cfg, self.spec), guard
+        """The per-element streams and the guard of either frame the chain
+        can transmit, keyed by whether it combines on the window side."""
+        frames = {}
+        for window in (False, True):
+            tx, _, guard = _ofdm_transmit(self.spec, self.ofdm, self.cfg, window)
+            frames[window] = oracle_streams(tx, self.cfg, self.spec), guard
+        return frames
 
     @pytest.mark.parametrize(
         "combiner, kind, sizing",
@@ -198,11 +212,12 @@ class TestToneGridEquivalence:
         ],
     )
     def test_clean_grid_matches_reference(self, reference, combiner, kind, sizing):
+        resolved = combiner.resolve_sizing(self.cfg, self.ofdm, 0.2)
         if kind == "reduced" and sizing is None:
-            sizing = combiner.resolve_sizing(self.cfg, self.ofdm, 0.2)
-        streams, guard = reference
+            sizing = resolved
+        streams, guard = reference[_window_side(self.cfg, self.spec, self.ofdm, *resolved)]
         expected = oracle_grid(streams, guard, self.ofdm, self.spec.oversample, kind, sizing)
-        _, clean, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, np.inf, combiner)
+        _, clean, _, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, np.inf, combiner)
         assert np.max(np.abs(clean - expected)) < 1e-9
 
     def test_single_carrier_combined_stream_is_phase_sum(self):
@@ -220,11 +235,12 @@ class TestToneGridEquivalence:
 
 
 class TestSmoothPadding:
-    """The trailing zeros that pad the OFDM frame to a 7-smooth length leave
-    the clean grid alone: the per-element reference run on the frame cut
-    back to one trailing guard (the unpadded layout) agrees within 1e-6.
-    The ofdm_combiners benchmark config, whose 62468-sample frame pads to
-    62500."""
+    """The trailing zeros that pad the OFDM frame leave the clean grid
+    alone: the per-element reference run on the frame cut back to one
+    trailing guard (the unpadded layout) agrees within 1e-6. The
+    ofdm_combiners benchmark config, whose 62468-sample frame pads to the
+    least 7-smooth 62500 for ps and reduced (branch side) and to
+    64512 = 1024 * 63 for idft (window side)."""
 
     cfg = ArrayConfig(32, 45 * DEG)
     spec = SignalSpec(0.2, oversample=8, seed=23)
@@ -251,7 +267,7 @@ class TestSmoothPadding:
         sizing = combiner.resolve_sizing(self.cfg, self.ofdm, 0.2) if kind == "reduced" else None
         streams, guard = unpadded
         expected = oracle_grid(streams, guard, self.ofdm, 8, kind, sizing)
-        _, clean, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, np.inf, combiner)
+        _, clean, _, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, np.inf, combiner)
         assert np.max(np.abs(clean - expected)) < 1e-6
 
 
@@ -305,7 +321,7 @@ class TestOutputNoise:
     )
     def test_per_tone_variance(self, element_model, combiner, kind):
         sigma2, reference = element_model
-        _, clean, noisy = _ofdm_receive(self.cfg, self.spec, self.ofdm, self.snr_db, combiner)
+        _, clean, noisy, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, self.snr_db, combiner)
         measured = np.mean(np.abs(noisy - clean) ** 2, axis=0)
         target = sigma2 / self.cfg.n_elements
         for var in (measured, reference[kind]):
@@ -347,7 +363,7 @@ class TestNoiseReference:
         ofdm = OfdmSpec(64, n_ofdm_symbols=20)
         ps = CombinerSpec.phase_shifter_sum()
         runs = [_ofdm_receive(cfg, SignalSpec(0.5, oversample=4, seed=seed), ofdm,
-                              self.snr_db, ps)
+                              self.snr_db, ps)[:3]
                 for seed in self.seeds]
         assert self.ratio(cfg, runs) == pytest.approx(1.0, abs=0.06)
 
@@ -376,10 +392,78 @@ def test_kernel_degenerate_sizings_property(case):
     cfg = ArrayConfig(n, theta * DEG)
     spec = SignalSpec(bw, oversample=4, seed=25)
     ofdm = OfdmSpec(m, n_ofdm_symbols=3)
-    tx, _, guard = _ofdm_transmit(spec, ofdm, cfg)
-    streams = oracle_streams(tx, cfg, spec)
     q = spec.oversample
     for sizing, kind in (((n, m), "ps"), ((1, 1), "idft"), ((n_sub, m_group), "reduced")):
-        _, clean, _ = _ofdm_receive(cfg, spec, ofdm, np.inf, CombinerSpec.reduced_idft(*sizing))
+        # the reference takes the frame the chain transmits for this sizing
+        tx, _, guard = _ofdm_transmit(spec, ofdm, cfg, _window_side(cfg, spec, ofdm, *sizing))
+        streams = oracle_streams(tx, cfg, spec)
+        _, clean, _, _ = _ofdm_receive(cfg, spec, ofdm, np.inf, CombinerSpec.reduced_idft(*sizing))
         expected = oracle_grid(streams, guard, ofdm, q, kind, sizing)
         assert np.max(np.abs(clean - expected)) < 1e-9
+
+
+@st.composite
+def window_case(draw):
+    n = draw(st.integers(1, 64))
+    m = draw(st.integers(2, 24))
+    return (
+        n,
+        draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0])),
+        draw(st.floats(-70.0, 70.0)),
+        draw(st.floats(0.02, 0.6)),
+        m,
+        draw(st.integers(4, 8)),
+        draw(st.integers(1, m - 1)),
+        draw(st.integers(1, 4)),
+    )
+
+
+def window_and_branch(n, n_sub, theta, bw, m, q, cp, n_sym):
+    """Both sides of the chain on the same window-side frame."""
+    cfg = ArrayConfig(n, theta * DEG)
+    spec = SignalSpec(bw, oversample=q, seed=n_sym)
+    ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym, cp_ratio_num=cp)
+    tx, _, guard = _ofdm_transmit(spec, ofdm, cfg, True)
+    assert len(tx) % (m * q) == 0
+    try:
+        branch = _branch_combine(tx, guard, cfg, spec, ofdm, n_sub, 1)
+    except InsufficientGuard:
+        reject()  # the chain rejects frames shorter than four delay spreads
+    return _window_combine(tx, guard, cfg, spec, ofdm, n_sub), branch, len(tx)
+
+
+@settings(max_examples=60)
+@given(window_case())
+@example((6, 1, -50.0, 0.3, 3, 5, 1, 3))  # odd Mq = 15 and odd L = 105
+@example((45, 9, 65.0, 0.5, 7, 5, 3, 2))  # odd Mq = 35, odd N_r = 5
+@example((64, 1, -70.0, 0.6, 24, 8, 23, 4))  # the largest N, CP and delay spread drawn
+@example((12, 12, 40.0, 0.3, 9, 4, 2, 1))  # one branch: the phase sum of tone-wise weights
+@example((16, 4, 0.0, 0.3, 7, 5, 3, 3))  # broadside: no delay spread, odd Mq = 35
+def test_window_side_matches_branch_side_property(case):
+    """For one tone per group, combining on the DFT-window side equals the
+    branch side (one IFFT and one demodulation per branch, then the
+    tone-domain kernel) on the same frame: every divisor n_sub, odd and
+    even M and Mq, odd and even frame lengths, negative angles."""
+    window, branch, _ = window_and_branch(*case)
+    assert np.max(np.abs(window - branch)) < 1e-9
+
+
+def test_window_side_matches_branch_side_large_array():
+    """N = 256 at M = 64 and 8 symbols: the delay spread (about 10 samples
+    here) and the tone frequencies wrap past Nyquist together."""
+    window, branch, length = window_and_branch(256, 1, 30.0, 0.1, 64, 8, 8, 8)
+    assert length == 5120
+    assert np.max(np.abs(window - branch)) < 1e-9
+
+
+def test_combining_side_selection():
+    """The window side serves one tone per group where its op count is
+    lower; ps, grouped tones and a single branch stay on the branch side."""
+    cfg, spec, ofdm = ArrayConfig(32, 45 * DEG), SignalSpec(0.2, oversample=8), OfdmSpec(128, 60)
+    assert _window_side(cfg, spec, ofdm, 1, 1)
+    assert _window_side(cfg, spec, ofdm, 2, 1)
+    assert not _window_side(cfg, spec, ofdm, 32, 1)  # N_r = 1
+    assert not _window_side(cfg, spec, ofdm, 1, 2)
+    assert not _window_side(cfg, spec, ofdm, 32, 128)
+    # 60 symbols against N_r = 4: 60 + 16 > 4 * 16
+    assert not _window_side(cfg, spec, ofdm, 8, 1)

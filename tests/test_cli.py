@@ -238,6 +238,27 @@ class TestSimulate:
         assert tones[0] == "tone,evm_db,ssir_db"
         assert len(tones) == 33
 
+    @pytest.mark.parametrize(
+        "combiner, summary",
+        [("idft", "window side, L 1792"), ("ps", "branch side, L 1680"), (None, None)],
+    )
+    def test_summary_names_combining_side(self, tmp_path, capsys, combiner, summary):
+        """The stderr summary of an OFDM run names the combining side and
+        the frame length L (1792 = 128 * 14 on the window side, the least
+        7-smooth 1680 on the branch side); no report file carries them, and
+        a single-carrier run names neither."""
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text("n_ofdm_symbols = 12\noversample = 4\nn_symbols = 300\n")
+        over = {"carriers": 32, "combiner": combiner} if combiner else {}
+        assert run_cli(self._args(tmp_path, **over) + ["--config", str(cfgfile)]) == EXIT_OK
+        err = capsys.readouterr().err
+        if summary:
+            assert f" dB, {summary} (" in err
+        else:
+            assert " side" not in err
+        for path in tmp_path.glob("sim*"):
+            assert " side" not in path.read_text()
+
     def test_byte_identical_reruns(self, tmp_path):
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("n_symbols = 500\n")

@@ -351,6 +351,31 @@ class TestSmoothFrames:
         assert np.array_equal(tx.samples[guard:guard + len(frame)], frame)
         assert not np.any(tx.samples[:guard]) and not np.any(tx.samples[guard + len(frame):])
 
+    @pytest.mark.parametrize(
+        "n, theta, bw, m, q, cp, n_sym, length, padded",
+        [
+            (32, 45, 0.2, 128, 8, 2, 60, 62468, 64512),  # 1024 * 63
+            (1024, 30, 0.1, 256, 8, 32, 40, 92602, 98304),  # 2048 * 48
+            (6, -50, 0.3, 3, 5, 1, 3, 98, 105),  # odd Mq: 15 * 7, odd L
+            (1, 0, 0.1, 4, 4, 1, 4, 112, 112),  # already 16 * 7: no padding
+        ],
+    )
+    def test_window_side_frame_layout(self, n, theta, bw, m, q, cp, n_sym, length, padded):
+        """The window side pads the same frame to Mq times a 7-smooth count,
+        so every tone frequency is an FFT bin; the guard and the frame stay
+        where the branch side's frame has them."""
+        cfg, spec = ArrayConfig(n, theta * DEG), SignalSpec(bw, oversample=q, seed=5)
+        ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym, cp_ratio_num=cp)
+        tx, grid, guard = _ofdm_transmit(spec, ofdm, cfg, True)
+        branch, branch_grid, branch_guard = _ofdm_transmit(spec, ofdm, cfg)
+        assert guard == branch_guard and np.array_equal(grid, branch_grid)
+        frame = ofdm_modulate(grid, ofdm, q).samples
+        assert len(frame) + 2 * guard == length
+        assert len(tx) == padded == m * q * least_7_smooth(-(-length // (m * q)))
+        assert np.array_equal(tx.samples[:length], branch.samples[:length])
+        assert np.array_equal(tx.samples[guard:guard + len(frame)], frame)
+        assert not np.any(tx.samples[:guard]) and not np.any(tx.samples[guard + len(frame):])
+
     def test_single_carrier_frame_layout(self):
         """The grid is os times a 7-smooth symbol count, so its symbol-rate
         subsampling holds every impulse. At sc_link (80464 samples) this is
