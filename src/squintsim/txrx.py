@@ -40,10 +40,10 @@ The OFDM chain combines on one of two sides, both exact:
   ``f - f_k`` wraps past Nyquist (:func:`_window_combine`). Its cost, S
   folds of length L plus O(L log L), does not depend on N.
 
-The chain takes the window side where its op count, ``S L + L log2 L``,
-is below the branch side's ``N_r L log2 L``, and pads that frame to Mq
-times a 7-smooth count (L may be odd); every other frame pads to the least
-7-smooth length.
+The chain takes the window side where its measured cost model, ``S L +
+3 L log2 L + 1e5``, is below the branch side's ``N_r L log2 L``
+(:func:`_window_side`), and pads that frame to Mq times a 7-smooth count
+(L may be odd); every other frame pads to the least 7-smooth length.
 
 Receiver noise is drawn once, at the combiner output. The element noise is
 white and i.i.d., the delays are unitary, the weights have unit modulus
@@ -379,13 +379,21 @@ def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig, window: b
 def _window_side(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec,
                  n_sub: int, m_group: int) -> bool:
     """Whether the chain combines on the DFT-window side: only for one
-    tone per group, and only where its op count, S folds of length L plus
-    one L log2 L transform, is below the branch side's N_r L log2 L (L of
-    the window-side frame)."""
+    tone per group, and only where its cost is below the branch side's.
+
+    Costs are in units where one branch of the branch side costs L log2 L
+    (L of the window-side frame), so that side costs N_r L log2 L beyond
+    the work both sides share. Fitted to the timed transmit and combine of
+    both sides over 350 runs (N 8 to 1024, M 32 to 256 with prime M, S 1
+    to 300, q 4 to 8), the window side costs S L for its S folds,
+    3 L log2 L for its transforms and kernels, and about 1e5 (near 0.3 ms)
+    for its fixed per-call work, which decides short frames.
+    """
     if m_group != 1:
         return False
-    log_l = math.log2(_ofdm_length(spec, ofdm, cfg, True))
-    return ofdm.n_ofdm_symbols + log_l < cfg.n_elements // n_sub * log_l
+    length = _ofdm_length(spec, ofdm, cfg, True)
+    branch = length * math.log2(length)
+    return ofdm.n_ofdm_symbols * length + 3 * branch + 1e5 < cfg.n_elements // n_sub * branch
 
 
 def _branch_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: SignalSpec,
@@ -522,9 +530,10 @@ def _ofdm_receive(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, snr_db: fl
     transforms. For one tone per group (the full IDFT and any
     ``(n_sub, 1)`` sizing), the window side (:func:`_window_combine`) is
     exact too and costs S folds of length L plus O(L log L), whatever N.
-    The chain takes it where that op count, ``S L + L log2 L``, is below
-    ``N_r L log2 L``, and pads its frame to Mq times a 7-smooth count;
-    every other run keeps the least 7-smooth length.
+    The chain takes it where its measured cost, ``S L + 3 L log2 L +
+    1e5``, is below ``N_r L log2 L`` (:func:`_window_side`), and pads its
+    frame to Mq times a 7-smooth count; every other run keeps the least
+    7-smooth length.
     """
     n_sub, m_group = combiner.resolve_sizing(cfg, ofdm, spec.fractional_bandwidth)
     _check_divisible(cfg, ofdm, n_sub, m_group)

@@ -457,13 +457,22 @@ def test_window_side_matches_branch_side_large_array():
 
 
 def test_combining_side_selection():
-    """The window side serves one tone per group where its op count is
-    lower; ps, grouped tones and a single branch stay on the branch side."""
+    """The window side serves one tone per group where its measured cost is
+    lower; ps, grouped tones and a single branch stay on the branch side.
+    At the benchmark frame (L = 64512, log2 L = 15.98, S = 60) the window
+    side costs 60 + 3 * 15.98 + 1.6 = 109.5 per L against 15.98 N_r, so
+    N_r = 8 takes it and N_r = 4 does not; both sides time about even at
+    N_r = 4 and 5. On a short frame the window side's fixed work decides:
+    the N = 8 full IDFT at M = 32, 12 symbols, q = 4 (L = 1792) stays on
+    the branch side, while N = 16 takes the window side."""
     cfg, spec, ofdm = ArrayConfig(32, 45 * DEG), SignalSpec(0.2, oversample=8), OfdmSpec(128, 60)
     assert _window_side(cfg, spec, ofdm, 1, 1)
     assert _window_side(cfg, spec, ofdm, 2, 1)
+    assert _window_side(cfg, spec, ofdm, 4, 1)  # N_r = 8
+    assert not _window_side(cfg, spec, ofdm, 8, 1)  # N_r = 4
     assert not _window_side(cfg, spec, ofdm, 32, 1)  # N_r = 1
     assert not _window_side(cfg, spec, ofdm, 1, 2)
     assert not _window_side(cfg, spec, ofdm, 32, 128)
-    # 60 symbols against N_r = 4: 60 + 16 > 4 * 16
-    assert not _window_side(cfg, spec, ofdm, 8, 1)
+    spec, ofdm = SignalSpec(0.1, oversample=4), OfdmSpec(32, 12)
+    assert not _window_side(ArrayConfig(8, 30 * DEG), spec, ofdm, 1, 1)
+    assert _window_side(ArrayConfig(16, 30 * DEG), spec, ofdm, 1, 1)

@@ -239,17 +239,24 @@ class TestSimulate:
         assert len(tones) == 33
 
     @pytest.mark.parametrize(
-        "combiner, summary",
-        [("idft", "window side, L 1792"), ("ps", "branch side, L 1680"), (None, None)],
+        "combiner, n, summary",
+        [
+            ("idft", 16, "window side, L 1792"),
+            ("idft", 8, "branch side, L 1680"),
+            ("ps", 8, "branch side, L 1680"),
+            (None, 8, None),
+        ],
     )
-    def test_summary_names_combining_side(self, tmp_path, capsys, combiner, summary):
+    def test_summary_names_combining_side(self, tmp_path, capsys, combiner, n, summary):
         """The stderr summary of an OFDM run names the combining side and
         the frame length L (1792 = 128 * 14 on the window side, the least
-        7-smooth 1680 on the branch side); no report file carries them, and
-        a single-carrier run names neither."""
+        7-smooth 1680 on the branch side, which the N = 8 full IDFT keeps on
+        this short frame); no report file carries them, and a
+        single-carrier run names neither."""
         cfgfile = tmp_path / "c.cfg"
         cfgfile.write_text("n_ofdm_symbols = 12\noversample = 4\nn_symbols = 300\n")
         over = {"carriers": 32, "combiner": combiner} if combiner else {}
+        over["n"] = n
         assert run_cli(self._args(tmp_path, **over) + ["--config", str(cfgfile)]) == EXIT_OK
         err = capsys.readouterr().err
         if summary:
