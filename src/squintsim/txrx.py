@@ -7,7 +7,10 @@ Both chains share the receiver conventions:
   an N-element broadside array with EVM = -(snr_db + 10 log10 N).
 * Symbol timing locks to the centroid of the array's systematic delay
   spread (what a synchronizer tracking the combined signal converges to);
-  OFDM DFT windows then sit at the conventional cyclic-prefix end.
+  OFDM DFT windows then sit at the conventional cyclic-prefix end, for
+  both combining sides and :func:`ofdm_demodulate` (:func:`_window_starts`).
+* Chain frames are plain arrays at ``oversample`` samples per symbol,
+  zero-guarded by the one rule of :mod:`squintsim.wavefront`.
 * The self-interference ratio (SSIR) of a run is the modulation error
   ratio of the noiseless combiner output.
 
@@ -17,7 +20,7 @@ multiplies the spectrum of its frame by one response per combiner branch
 single-carrier chain folds its pulse shaping and matched filter into the
 same product and, since it only reads the output at the symbol instants,
 runs at the symbol rate: the oversampled response folded onto the
-symbol-rate grid (its aliases summed) filters the symbol impulses. That
+symbol-rate grid (its aliases summed) filters the symbol-rate frame. That
 filter is real and even in frequency: the zero-phase RRC taps are real and
 even, and after centroid sync so is the whole array's impulse response.
 So it is built on the real half spectrum (``rfft`` and
@@ -83,7 +86,8 @@ from .dsp import (
 )
 from .errors import CombinerRequiresOfdm, DimensionMismatch
 from .ofdm_spec import OfdmSpec
-from .wavefront import _even_extension, array_kernel, branch_responses, element_delay_samples
+from .wavefront import (_delay_spread, _even_extension, array_kernel, branch_responses,
+                        element_delay_samples)
 
 # not called here: bound because squintbench/tracer.py wraps these names on this module
 from .combine import full_idft_weights  # noqa: F401
@@ -162,26 +166,34 @@ def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) 
     DFT windows start right after each cyclic prefix, so a circular delay
     of up to the prefix length appears as a pure per-tone phase ramp
     ``exp(-j 2 pi (m - m0) d / M)`` with no inter-carrier interference.
-    The OFDM chain's branch side demodulates each branch stream with the
-    same transform on plain arrays, without wrapping it in a
-    :class:`ComplexSignal`; its window side demodulates no stream but
-    takes each tone's window DFT inside the closed form of
-    :func:`_window_combine` (see :func:`_ofdm_receive`).
+    :func:`_window_starts` places the windows; the OFDM chain's branch side
+    takes each branch stream's windows there on plain arrays, and its
+    window side takes each tone's window DFT at the same starts inside the
+    closed form of :func:`_window_combine` (see :func:`_ofdm_receive`).
     """
-    return _demodulate(signal.samples, ofdm, oversample)
-
-
-def _demodulate(x: np.ndarray, ofdm: OfdmSpec, oversample: int) -> np.ndarray:
-    # the DFT window of each block, the prefix stripped, at the tone bins
-    m, q = ofdm.m_carriers, oversample
-    block = (m + ofdm.cp_ratio_num) * q
-    if len(x) % block:
+    x = signal.samples
+    block = (ofdm.m_carriers + ofdm.cp_ratio_num) * oversample
+    if len(x) % block or not len(x):
         raise DimensionMismatch(
-            f"frame length {len(x)} is not a whole number of {block}-sample blocks"
+            f"frame length {len(x)} is not a positive whole number of {block}-sample blocks"
         )
-    blocks = x.reshape(-1, block)
-    cores = blocks[:, ofdm.cp_ratio_num * q:]
-    return np.fft.fft(cores, axis=1)[:, _tone_bins(ofdm, q)] / math.sqrt(m * q)
+    return _demodulate(x, _window_starts(ofdm, oversample, 0, len(x) // block), ofdm, oversample)
+
+
+def _window_starts(ofdm: OfdmSpec, oversample: int, guard: int, n_symbols: int) -> slice:
+    """The first sample of each of ``n_symbols`` DFT windows, each at its
+    cyclic prefix's end, in a frame after ``guard`` zeros: a slice, so a
+    frame's windows are one strided view."""
+    q, cp = oversample, ofdm.cp_ratio_num
+    step = (ofdm.m_carriers + cp) * q
+    return slice(guard + cp * q, guard + cp * q + n_symbols * step, step)
+
+
+def _demodulate(x: np.ndarray, starts: slice, ofdm: OfdmSpec, oversample: int) -> np.ndarray:
+    # the DFT windows at ``starts``, a strided view of ``x``, at the tone bins
+    mq = ofdm.m_carriers * oversample
+    windows = np.lib.stride_tricks.sliding_window_view(x, mq)[starts]
+    return np.fft.fft(windows, axis=1)[:, _tone_bins(ofdm, oversample)] / math.sqrt(mq)
 
 
 # ---------------------------------------------------------------------------
@@ -241,30 +253,27 @@ def _smooth_length(n: int) -> int:
 # Single-carrier chain
 # ---------------------------------------------------------------------------
 
-def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[ComplexSignal, np.ndarray, slice]:
-    """Symbol impulses on a zero-guarded grid, the symbols, and the slice of
-    the impulse instants (where the zero-phase RRC cascade peaks). Trailing
-    zeros pad the grid to ``os`` times a 7-smooth symbol count, so the FFTs
-    of the grid and of its symbol-rate subsampling ``[::os]``, which holds
-    every impulse, stay fast."""
+def _sc_transmit(spec: SignalSpec, cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray, int]:
+    """The symbol-rate frame (the symbols between zero guards, trailing
+    zeros padding it to a 7-smooth length), the symbols, and the index of
+    the first. Upsampled by ``os`` it is the impulse frame the link filters,
+    its impulses where the zero-phase RRC cascade peaks; the chain builds
+    only the symbol-rate frame and reads the oversampled length."""
     rng = np.random.default_rng(spec.seed)
     indices = rng.integers(0, spec.modulation_order, spec.n_symbols)
     symbols = qam_map(indices, spec.modulation_order).samples
     os = spec.oversample
-    spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, os))
-    guard_syms = int(np.ceil(spread / os)) + spec.rrc_span + 4
+    guard = int(np.ceil(_delay_spread(cfg, spec, os) / os)) + spec.rrc_span + 4
     # room for half an RRC span (an even symbol count) on either side
-    first = guard_syms * os + spec.rrc_span * os // 2
-    instants = slice(first, first + spec.n_symbols * os, os)
-    n_grid = spec.n_symbols + 2 * guard_syms + spec.rrc_span
-    up = np.zeros(os * _smooth_length(n_grid), dtype=np.complex128)
-    up[instants] = symbols
-    return ComplexSignal(up, sample_rate=float(os)), symbols, instants
+    first = guard + spec.rrc_span // 2
+    frame = np.zeros(_smooth_length(spec.n_symbols + 2 * guard + spec.rrc_span), np.complex128)
+    frame[first:first + spec.n_symbols] = symbols
+    return frame, symbols, first
 
 
-def _sc_folded_response(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec) -> np.ndarray:
-    """The link's response R^2 H / N on the symbol-rate grid of ``tx``, as
-    real float64.
+def _sc_folded_response(length: int, cfg: ArrayConfig, spec: SignalSpec) -> np.ndarray:
+    """The link's response R^2 H / N on the symbol-rate grid of an
+    oversampled frame of ``length`` samples, as real float64.
 
     R is the spectrum of the zero-phase RRC taps and H the whole array's
     response, both on the oversampled grid; folding sums the ``os``
@@ -279,11 +288,11 @@ def _sc_folded_response(tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec) -
     """
     os = spec.oversample
     taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, os)
-    padded = np.zeros(len(tx))
+    padded = np.zeros(length)
     padded[:len(taps)] = taps
     rrc = np.fft.rfft(np.roll(padded, -(len(taps) // 2))).real
-    half = rrc**2 * array_kernel(tx, cfg, spec, cfg.n_elements)
-    full = _even_extension(half, len(tx))
+    half = rrc**2 * array_kernel(length, cfg, spec, cfg.n_elements)
+    full = _even_extension(half, length)
     return full.reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)
 
 
@@ -293,17 +302,14 @@ def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
     snr = inf).
 
     Shaping, array and matched filter are one filter, R^2 H / N. Only its
-    output at the symbol instants is kept, and the impulses sit on every
-    ``os``-th sample, so the chain runs at the symbol rate: the symbol-rate
-    impulses times the folded response (:func:`_sc_folded_response`).
-    This equals the oversampled product ``ifft(fft(tx) R^2 H / N)`` at the
-    instants.
+    output at the symbol instants is kept, on every ``os``-th sample of
+    the upsampled frame ``up``, so the chain runs at the symbol rate: the
+    symbol-rate frame times the folded response (:func:`_sc_folded_response`).
+    This equals ``ifft(fft(up) R^2 H / N)`` at the instants.
     """
-    tx, symbols, instants = _sc_transmit(spec, cfg)
-    os = spec.oversample
-    spectrum = np.fft.fft(tx.samples[::os]) * _sc_folded_response(tx, cfg, spec)
-    start = instants.start // os
-    rx_clean = np.fft.ifft(spectrum)[start:start + spec.n_symbols]
+    frame, symbols, first = _sc_transmit(spec, cfg)
+    spectrum = np.fft.fft(frame) * _sc_folded_response(spec.oversample * len(frame), cfg, spec)
+    rx_clean = np.fft.ifft(spectrum)[first:first + spec.n_symbols]
     return symbols, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
 
 
@@ -342,44 +348,38 @@ def run_single_carrier(
 
 def _ofdm_guard(cfg: ArrayConfig, spec: SignalSpec) -> int:
     # zeros on either side of the frame: the array's delay spread plus margin
-    spread = (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, spec.oversample))
-    return int(np.ceil(spread)) + 16
+    return int(np.ceil(_delay_spread(cfg, spec, spec.oversample))) + 16
 
 
-def _ofdm_length(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig, window: bool) -> int:
+def _ofdm_length(spec: SignalSpec, ofdm: OfdmSpec, guard: int, window: bool) -> int:
     """The padded frame length L: the frame between two guards, padded to
     the least 7-smooth length, or for the window side to Mq times the least
     7-smooth count (every tone frequency is then an FFT bin)."""
     q = spec.oversample
-    n = ofdm.n_ofdm_symbols * (ofdm.m_carriers + ofdm.cp_ratio_num) * q
-    n += 2 * _ofdm_guard(cfg, spec)
+    n = ofdm.n_ofdm_symbols * (ofdm.m_carriers + ofdm.cp_ratio_num) * q + 2 * guard
     if not window:
         return _smooth_length(n)
     mq = ofdm.m_carriers * q
     return mq * _smooth_length(-(-n // mq))
 
 
-def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, cfg: ArrayConfig, window: bool = False):
-    """The cyclic-prefixed frame between zero guards, the transmitted grid,
-    and the leading guard length. The trailing zeros, at least one guard,
-    pad the frame to the length :func:`_ofdm_length` gives for the
-    combining side, so its FFTs stay fast."""
+def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, guard: int, length: int):
+    """The cyclic-prefixed frame after ``guard`` zeros, padded by trailing
+    zeros (at least one guard) to ``length`` (:func:`_ofdm_length`) so its
+    FFTs stay fast, and the transmitted grid."""
     rng = np.random.default_rng(spec.seed)
     shape = (ofdm.n_ofdm_symbols, ofdm.m_carriers)
     indices = rng.integers(0, spec.modulation_order, shape)
     grid = qam_map(indices.ravel(), spec.modulation_order).samples.reshape(shape)
-    q = spec.oversample
-    frame = ofdm_modulate(grid, ofdm, q).samples
-    guard = _ofdm_guard(cfg, spec)
-    padded = np.zeros(_ofdm_length(spec, ofdm, cfg, window), np.complex128)
+    frame = ofdm_modulate(grid, ofdm, spec.oversample).samples
+    padded = np.zeros(length, np.complex128)
     padded[guard:guard + len(frame)] = frame
-    return ComplexSignal(padded, sample_rate=float(q)), grid, guard
+    return padded, grid
 
 
-def _window_side(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec,
-                 n_sub: int, m_group: int) -> bool:
-    """Whether the chain combines on the DFT-window side: only for one
-    tone per group, and only where its cost is below the branch side's.
+def _window_side(cfg: ArrayConfig, ofdm: OfdmSpec, n_sub: int, m_group: int, length: int) -> bool:
+    """Whether the chain combines on the DFT-window side, with its frame of
+    L = ``length``: only for one tone per group, where it costs less.
 
     Costs are in units where one branch of the branch side costs L log2 L
     (L of the window-side frame), so that side costs N_r L log2 L beyond
@@ -391,23 +391,21 @@ def _window_side(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec,
     """
     if m_group != 1:
         return False
-    length = _ofdm_length(spec, ofdm, cfg, True)
     branch = length * math.log2(length)
     return ofdm.n_ofdm_symbols * length + 3 * branch + 1e5 < cfg.n_elements // n_sub * branch
 
 
-def _branch_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: SignalSpec,
+def _branch_combine(x: np.ndarray, guard: int, cfg: ArrayConfig, spec: SignalSpec,
                     ofdm: OfdmSpec, n_sub: int, m_group: int) -> np.ndarray:
     """The clean combined grid on the branch side: one full-frame inverse
     FFT and one demodulation per branch, then the tone-domain kernel."""
     weights = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
-    q = spec.oversample
-    shape = (ofdm.n_ofdm_symbols, ofdm.m_carriers)
-    frame = slice(guard, guard + shape[0] * (ofdm.m_carriers + ofdm.cp_ratio_num) * q)
+    q, shape = spec.oversample, (ofdm.n_ofdm_symbols, ofdm.m_carriers)
+    starts = _window_starts(ofdm, q, guard, shape[0])
     grids = np.empty((cfg.n_elements // n_sub,) + shape, dtype=np.complex128)
-    spectrum = np.fft.fft(tx.samples)
-    for r, response in enumerate(branch_responses(tx, cfg, spec, n_sub)):
-        grids[r] = _demodulate(np.fft.ifft(spectrum * response)[frame], ofdm, q)
+    spectrum = np.fft.fft(x)
+    for r, response in enumerate(branch_responses(x, cfg, spec, n_sub)):
+        grids[r] = _demodulate(np.fft.ifft(spectrum * response), starts, ofdm, q)
     return combine_branch_grids(grids, weights, cfg.n_elements)
 
 
@@ -419,10 +417,10 @@ def _box_response(p: np.ndarray, length: int, width: int) -> np.ndarray:
     return phase * _dirichlet(p / length, width)
 
 
-def _window_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: SignalSpec,
+def _window_combine(x: np.ndarray, guard: int, cfg: ArrayConfig, spec: SignalSpec,
                     ofdm: OfdmSpec, n_sub: int) -> np.ndarray:
     """The clean combined grid on the DFT-window side, for one tone per
-    group; ``len(tx)`` must be a multiple of Mq.
+    group; ``len(x)`` must be a multiple of Mq.
 
     The weights of tone k undo each branch's delay at the tone frequency
     f_k = kappa_k / Mq, so the combined response of tone k is the
@@ -440,18 +438,16 @@ def _window_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: Signa
     ``f - f_k`` wraps past Nyquist on the |kappa_k| L / Mq bins nearest
     it; :func:`_nyquist_correction` adds the exact difference there.
     """
-    x = tx.samples
     length = len(x)
     m, q = ofdm.m_carriers, spec.oversample
     mq = m * q
     n_r = cfg.n_elements // n_sub
     stride = n_sub * element_delay_samples(cfg, spec, q)
-    step = (m + ofdm.cp_ratio_num) * q
-    starts = guard + ofdm.cp_ratio_num * q + step * np.arange(ofdm.n_ofdm_symbols)
+    at = _window_starts(ofdm, q, guard, ofdm.n_ofdm_symbols)
+    starts = np.arange(at.start, at.stop, at.step)
     spectrum = np.fft.fft(x)
-    sub = array_kernel(tx, cfg, spec, n_sub)  # also checks the guards
     if n_sub > 1:
-        spectrum *= _even_extension(sub, length)
+        spectrum *= _even_extension(array_kernel(length, cfg, spec, n_sub), length)
         x = np.fft.ifft(spectrum)
     p = np.arange(length // 2 + 1)
     abar = np.fft.irfft(_dirichlet(p * stride / length, n_r) * _box_response(p, length, mq),
@@ -460,7 +456,7 @@ def _window_combine(tx: ComplexSignal, guard: int, cfg: ArrayConfig, spec: Signa
     # the starts step evenly, so the S windows are one strided view
     rev = np.roll(abar[::-1], 1)
     rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev]), length)
-    windows = rows[length - starts[0]::-step][:len(starts)].reshape(len(starts), -1, mq)
+    windows = rows[length - at.start::-at.step][:len(starts)].reshape(len(starts), -1, mq)
     folds = np.einsum("sjm,jm->sm", windows, np.ascontiguousarray(x.real).reshape(-1, mq))
     folds = folds + 1j * np.einsum("sjm,jm->sm", windows,
                                    np.ascontiguousarray(x.imag).reshape(-1, mq))
@@ -526,25 +522,24 @@ def _ofdm_receive(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, snr_db: fl
     did: the combining side (``"window"`` or ``"branch"``) and the frame
     length L.
 
-    The branch side (:func:`_branch_combine`) costs N_r full-frame
-    transforms. For one tone per group (the full IDFT and any
-    ``(n_sub, 1)`` sizing), the window side (:func:`_window_combine`) is
-    exact too and costs S folds of length L plus O(L log L), whatever N.
-    The chain takes it where its measured cost, ``S L + 3 L log2 L +
-    1e5``, is below ``N_r L log2 L`` (:func:`_window_side`), and pads its
-    frame to Mq times a 7-smooth count; every other run keeps the least
-    7-smooth length.
+    The guard is sized once, then L for the window side; the chain
+    combines there (:func:`_window_combine`) if :func:`_window_side` says
+    it is cheaper, and otherwise on the branch side
+    (:func:`_branch_combine`) with the least 7-smooth L.
     """
     n_sub, m_group = combiner.resolve_sizing(cfg, ofdm, spec.fractional_bandwidth)
     _check_divisible(cfg, ofdm, n_sub, m_group)
-    window = _window_side(cfg, spec, ofdm, n_sub, m_group)
-    tx, ref_grid, guard = _ofdm_transmit(spec, ofdm, cfg, window)
+    guard = _ofdm_guard(cfg, spec)
+    length = _ofdm_length(spec, ofdm, guard, True)
+    window = _window_side(cfg, ofdm, n_sub, m_group, length)
+    length = length if window else _ofdm_length(spec, ofdm, guard, False)
+    x, ref_grid = _ofdm_transmit(spec, ofdm, guard, length)
     if window:
-        rx_clean = _window_combine(tx, guard, cfg, spec, ofdm, n_sub)
+        rx_clean = _window_combine(x, guard, cfg, spec, ofdm, n_sub)
     else:
-        rx_clean = _branch_combine(tx, guard, cfg, spec, ofdm, n_sub, m_group)
+        rx_clean = _branch_combine(x, guard, cfg, spec, ofdm, n_sub, m_group)
     noisy = _add_receiver_noise(rx_clean, cfg, spec, snr_db)
-    return ref_grid, rx_clean, noisy, ("window" if window else "branch", len(tx))
+    return ref_grid, rx_clean, noisy, ("window" if window else "branch", length)
 
 
 def run_ofdm(

@@ -9,6 +9,11 @@ sub-array size times the pure delay of the sub-array centre. The chains
 apply those responses to the spectrum of their frame themselves, so
 nothing here transforms a signal on the chains' path.
 
+Delays are circular, so frames carry zero guards by one rule: the
+frame builders of :mod:`squintsim.txrx` size them from :func:`_delay_spread`,
+and :func:`propagate` and :func:`branch_responses` check the ``ceil(spread)
++ 1`` zeros at either end that the delays wrap.
+
 After centroid sync the whole array's impulse response is real and
 symmetric about zero delay, so its response is real and even in
 frequency: the Dirichlet kernel ``D(x)`` of ``x = f dtau``. Every
@@ -74,6 +79,11 @@ def element_delay_samples(cfg: ArrayConfig, spec: SignalSpec, sample_rate: float
     return cfg.delay_per_element_cycles * spec.fractional_bandwidth * sample_rate
 
 
+def _delay_spread(cfg: ArrayConfig, spec: SignalSpec, sample_rate: float) -> float:
+    """The array's systematic delay spread (N - 1)|dtau| in samples."""
+    return (cfg.n_elements - 1) * abs(element_delay_samples(cfg, spec, sample_rate))
+
+
 def _carrier_phases(cfg: ArrayConfig) -> np.ndarray:
     # passband delay at the carrier appears at baseband as this rotation
     n = np.arange(cfg.n_elements)
@@ -89,7 +99,7 @@ def propagate(
     progressive group delay and rotated by the matching carrier phase.
     Element 0 equals ``tx`` exactly; at broadside every element does.
     Delays are circular, so the signal must carry zero guards at both ends
-    at least as long as the total delay spread; anything else raises
+    longer than the total delay spread; anything else raises
     :class:`InsufficientGuard`. Pass ``check_guard=False`` only for
     signals that are circularly consistent by construction (exact-bin
     tones).
@@ -101,7 +111,7 @@ def propagate(
         streams = np.tile(x, (n_el, 1))
         return ElementStreams(streams, cfg, spec, tx.sample_rate)
     if check_guard:
-        _check_guard(x, n_el, dtau)
+        _check_guard(x, _delay_spread(cfg, spec, tx.sample_rate))
     streams = np.empty((n_el, len(x)), dtype=np.complex128)
     streams[0] = x
     spectrum = np.fft.fft(x)
@@ -113,17 +123,13 @@ def propagate(
     return ElementStreams(streams, cfg, spec, tx.sample_rate)
 
 
-def _check_guard(x: np.ndarray, n_elements: int, dtau: float) -> None:
-    # circular delays of up to (N - 1) * dtau samples must only wrap zeros
-    if not len(x):
+def _check_guard(x: np.ndarray, spread: float) -> None:
+    # circular delays of up to ``spread`` samples must only wrap zeros
+    if spread == 0.0:
         return
-    need = int(np.ceil((n_elements - 1) * abs(dtau))) + 1
-    if need >= len(x) // 4:
-        raise InsufficientGuard("signal too short for the array's delay spread")
-    if np.any(x[:need] != 0) or np.any(x[-need:] != 0):
-        raise InsufficientGuard(
-            f"leading and trailing {need} samples must be zero guards"
-        )
+    need = int(np.ceil(spread)) + 1
+    if np.any(x[:need]) or np.any(x[-need:]):
+        raise InsufficientGuard(f"leading and trailing {need} samples must be zero guards")
 
 
 def _even_extension(half: np.ndarray, length: int) -> np.ndarray:
@@ -132,33 +138,30 @@ def _even_extension(half: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([half, half[1:(length + 1) // 2][::-1]])
 
 
-def array_kernel(
-    tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
-) -> np.ndarray:
+def array_kernel(length: int, cfg: ArrayConfig, spec: SignalSpec, n_sub: int) -> np.ndarray:
     """The real kernel ``sin(pi n_sub x) / sin(pi x)`` of ``x = f dtau`` on
-    the non-negative bins ``0 .. len(tx) // 2`` of the FFT grid of ``tx``
-    (the ``rfft`` grid): the response of ``n_sub`` centred elements.
+    the non-negative bins ``0 .. length // 2`` of a ``length``-sample FFT
+    grid at ``spec.oversample`` samples per symbol (the ``rfft`` grid): the
+    response of ``n_sub`` centred elements. It checks no guard.
 
     Exactness: ``rfftfreq`` and ``fftfreq`` both compute ``k * (1 / L)``
     and the kernel is exactly even, so these values are bit-identical to
-    the full-grid kernel at bins ``k`` and ``L - k``. Raises
-    :class:`InsufficientGuard` like :func:`propagate`.
+    the full-grid kernel at bins ``k`` and ``L - k``.
     """
-    dtau = element_delay_samples(cfg, spec, tx.sample_rate)
-    if dtau != 0.0:
-        _check_guard(tx.samples, cfg.n_elements, dtau)
-    return _dirichlet(np.fft.rfftfreq(len(tx)) * dtau, n_sub)
+    dtau = element_delay_samples(cfg, spec, spec.oversample)
+    return _dirichlet(np.fft.rfftfreq(length) * dtau, n_sub)
 
 
 def branch_responses(
-    tx: ComplexSignal, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
+    frame: np.ndarray, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
 ) -> Iterator[np.ndarray]:
-    """Frequency response of each combiner branch on the FFT grid of ``tx``,
-    one branch at a time.
+    """Frequency response of each combiner branch on the FFT grid of
+    ``frame`` (``spec.oversample`` samples per symbol), one branch at a
+    time.
 
     Branch r is the unnormalized sum of the ``n_sub`` contiguous elements
     ``[r * n_sub, (r + 1) * n_sub)`` after propagation, phase alignment and
-    centroid sync, so ``ifft(fft(tx) * H_r)`` equals the pre-summed
+    centroid sync, so ``ifft(fft(frame) * H_r)`` equals the pre-summed
     sub-array streams of the per-element stages. The carrier rotations of
     propagation and alignment cancel exactly, leaving
     ``H_r(f) = sum_{n in r} exp(-j 2 pi f (n dtau - tau_mean))``: in closed
@@ -174,20 +177,21 @@ def branch_responses(
 
     Exactness: the kernel is the even extension of :func:`array_kernel`,
     bit-identical to evaluating it on the full ``fftfreq`` grid, for even
-    and odd ``len(tx)``.
+    and odd ``len(frame)``.
     """
     n_el = cfg.n_elements
     if n_sub < 1 or n_el % n_sub:
         raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {n_el}")
-    half = array_kernel(tx, cfg, spec, n_sub)
+    _check_guard(frame, _delay_spread(cfg, spec, spec.oversample))
+    half = array_kernel(len(frame), cfg, spec, n_sub)
     n_r = n_el // n_sub
     if n_r == 1:
-        yield _even_extension(half, len(tx))
+        yield _even_extension(half, len(frame))
         return
-    x = np.fft.fftfreq(len(tx)) * element_delay_samples(cfg, spec, tx.sample_rate)
+    x = np.fft.fftfreq(len(frame)) * element_delay_samples(cfg, spec, spec.oversample)
     # the centre of branch 0 leads the centroid by (n_r - 1) / 2 strides
     response = np.exp(1j * np.pi * (n_r - 1) * n_sub * x)
-    response *= _even_extension(half, len(tx))
+    response *= _even_extension(half, len(frame))
     stride = np.exp(-2j * np.pi * n_sub * x)
     for _ in range(n_r):
         yield response

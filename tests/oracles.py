@@ -4,7 +4,10 @@ The link chains never call these. They are the time-domain combiners
 (which the tone-domain kernel ``combine_branch_grids`` must reproduce),
 the unitary DFT pair, the single-carrier link on its oversampled grid
 (which the symbol-rate chain must reproduce) and the branch responses on
-the full FFT grid (which the half-spectrum kernel must reproduce).
+the full FFT grid (which the half-spectrum kernel must reproduce). The
+references take the chains' own frames: :func:`sc_impulses` upsamples the
+single-carrier frame, and :func:`ofdm_frame` builds the OFDM frame of
+either combining side by the chain's layout.
 """
 
 import numpy as np
@@ -13,7 +16,7 @@ from squintsim import ComplexSignal, ElementStreams, OfdmSpec
 from squintsim.combine import full_idft_weights, reduced_idft_weights
 from squintsim.dsp import _as_samples, rrc_taps
 from squintsim.errors import IndivisibleSizing
-from squintsim.txrx import _sc_transmit
+from squintsim.txrx import _ofdm_guard, _ofdm_length, _ofdm_transmit, _sc_transmit
 from squintsim.wavefront import _dirichlet, branch_responses, element_delay_samples
 
 
@@ -77,15 +80,35 @@ def reduced_idft_combine(
     )
 
 
+def sc_impulses(spec, cfg) -> tuple[ComplexSignal, slice]:
+    """The single-carrier chain's symbol-rate frame upsampled to its
+    oversampled impulse frame (each symbol on every ``os``-th sample), and
+    the slice of its symbol instants."""
+    frame, _, first = _sc_transmit(spec, cfg)
+    os = spec.oversample
+    up = np.zeros(os * len(frame), dtype=complex)
+    up[::os] = frame
+    return ComplexSignal(up, float(os)), slice(first * os, (first + spec.n_symbols) * os, os)
+
+
+def ofdm_frame(spec, ofdm, cfg, window) -> tuple[ComplexSignal, np.ndarray, int]:
+    """The frame the OFDM chain transmits when it combines on the window
+    side (``window``) or on the branch side, the transmitted grid and the
+    leading guard."""
+    guard = _ofdm_guard(cfg, spec)
+    x, grid = _ofdm_transmit(spec, ofdm, guard, _ofdm_length(spec, ofdm, guard, window))
+    return ComplexSignal(x, float(spec.oversample)), grid, guard
+
+
 def sc_oversampled_clean(cfg, spec) -> np.ndarray:
     """The clean single-carrier output as one oversampled spectrum product:
     the impulse frame times R^2 H / N, read at the symbol instants."""
-    tx, _, instants = _sc_transmit(spec, cfg)
+    tx, instants = sc_impulses(spec, cfg)
     taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, spec.oversample)
     padded = np.zeros(len(tx))
     padded[:len(taps)] = taps
     rrc = np.fft.fft(np.roll(padded, -(len(taps) // 2)))
-    array = next(branch_responses(tx, cfg, spec, cfg.n_elements))
+    array = next(branch_responses(tx.samples, cfg, spec, cfg.n_elements))
     spectrum = np.fft.fft(tx.samples) * rrc**2 * array
     return np.fft.ifft(spectrum)[instants] / cfg.n_elements
 

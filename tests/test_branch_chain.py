@@ -14,15 +14,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, reject, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     full_grid_branch_responses,
     full_idft_combine,
+    ofdm_frame,
     phase_sum,
     presum_subarrays,
     reduced_idft_combine,
+    sc_impulses,
     sc_oversampled_clean,
 )
 from squintsim import (
@@ -41,10 +43,10 @@ from squintsim.dsp import rrc_taps
 from squintsim.errors import IndivisibleSizing, InsufficientGuard
 from squintsim.txrx import (
     _branch_combine,
+    _ofdm_guard,
+    _ofdm_length,
     _ofdm_receive,
-    _ofdm_transmit,
     _sc_receive,
-    _sc_transmit,
     _window_combine,
     _window_side,
 )
@@ -60,8 +62,14 @@ DEG = np.pi / 180.0
 
 def branch_streams(tx, cfg, spec, n_sub):
     spectrum = np.fft.fft(tx.samples)
-    for response in branch_responses(tx, cfg, spec, n_sub):
+    for response in branch_responses(tx.samples, cfg, spec, n_sub):
         yield np.fft.ifft(spectrum * response)
+
+
+def window_side(cfg, spec, ofdm, n_sub, m_group):
+    """Whether the chain combines this sizing on the DFT-window side."""
+    length = _ofdm_length(spec, ofdm, _ofdm_guard(cfg, spec), True)
+    return _window_side(cfg, ofdm, n_sub, m_group, length)
 
 
 def oracle_streams(tx, cfg, spec):
@@ -154,9 +162,9 @@ def test_array_kernel_is_the_full_grid_kernel_property(sizing, theta, bw, length
     spec = SignalSpec(bw, oversample=4)
     tx = ComplexSignal(np.zeros(length), 4.0)
     x = np.fft.fftfreq(length) * element_delay_samples(cfg, spec, 4.0)
-    half = array_kernel(tx, cfg, spec, n_sub)
+    half = array_kernel(length, cfg, spec, n_sub)
     assert bits(half) == bits(_dirichlet(x, n_sub)[:length // 2 + 1])
-    got = list(branch_responses(tx, cfg, spec, n_sub))
+    got = list(branch_responses(tx.samples, cfg, spec, n_sub))
     want = full_grid_branch_responses(tx, cfg, spec, n_sub)
     assert len(got) == len(want) == n // n_sub
     assert all(bits(a) == bits(b) for a, b in zip(got, want))
@@ -173,9 +181,11 @@ def test_array_kernel_is_the_full_grid_kernel_property(sizing, theta, bw, length
 @example(33, -75.0, 0.95, 8, 200)  # odd N, negative theta, dtau = 3.7 samples
 @example(16, -75.0, 0.95, 16, 50)  # x = f dtau crosses the poles at 1, 2 and 3
 @example(32, 89.0, 0.99, 5, 120)
+@example(1024, 60.0, 0.5, 8, 100)  # a frame shorter than four delay spreads
 def test_single_carrier_symbol_rate_matches_oversampled_property(n, theta, bw, os, n_sym):
-    """The symbol-rate chain (impulses times the folded response) equals the
-    oversampled product ifft(fft(tx) R^2 H / N) at the symbol instants."""
+    """The symbol-rate chain (its frame times the folded response) equals the
+    oversampled product ifft(fft(up) R^2 H / N) at the symbol instants, with
+    up the frame upsampled to impulses."""
     cfg = ArrayConfig(n, theta * DEG)
     spec = SignalSpec(bw, n_symbols=n_sym, oversample=os, seed=n_sym)
     _, clean, _ = _sc_receive(cfg, spec, np.inf)
@@ -196,7 +206,7 @@ class TestToneGridEquivalence:
         can transmit, keyed by whether it combines on the window side."""
         frames = {}
         for window in (False, True):
-            tx, _, guard = _ofdm_transmit(self.spec, self.ofdm, self.cfg, window)
+            tx, _, guard = ofdm_frame(self.spec, self.ofdm, self.cfg, window)
             frames[window] = oracle_streams(tx, self.cfg, self.spec), guard
         return frames
 
@@ -215,7 +225,7 @@ class TestToneGridEquivalence:
         resolved = combiner.resolve_sizing(self.cfg, self.ofdm, 0.2)
         if kind == "reduced" and sizing is None:
             sizing = resolved
-        streams, guard = reference[_window_side(self.cfg, self.spec, self.ofdm, *resolved)]
+        streams, guard = reference[window_side(self.cfg, self.spec, self.ofdm, *resolved)]
         expected = oracle_grid(streams, guard, self.ofdm, self.spec.oversample, kind, sizing)
         _, clean, _, _ = _ofdm_receive(self.cfg, self.spec, self.ofdm, np.inf, combiner)
         assert np.max(np.abs(clean - expected)) < 1e-9
@@ -225,7 +235,7 @@ class TestToneGridEquivalence:
         phase sum and the matched filter, sampled at the symbol instants."""
         cfg = ArrayConfig(16, 30 * DEG)
         spec = SignalSpec(0.2, n_symbols=300, seed=22)
-        impulses, _, instants = _sc_transmit(spec, cfg)
+        impulses, instants = sc_impulses(spec, cfg)
         taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, spec.oversample)
         shaped = ComplexSignal(np.convolve(impulses.samples, taps, "same"), impulses.sample_rate)
         combined = phase_sum(oracle_streams(shaped, cfg, spec)).samples
@@ -236,11 +246,11 @@ class TestToneGridEquivalence:
 
 class TestSmoothPadding:
     """The trailing zeros that pad the OFDM frame leave the clean grid
-    alone: the per-element reference run on the frame cut back to one
-    trailing guard (the unpadded layout) agrees within 1e-6. The
-    ofdm_combiners benchmark config, whose 62468-sample frame pads to the
-    least 7-smooth 62500 for ps and reduced (branch side) and to
-    64512 = 1024 * 63 for idft (window side)."""
+    alone: the per-element reference run on the chain's branch-side frame
+    cut back to one trailing guard (the unpadded layout) agrees within
+    1e-6. The ofdm_combiners benchmark config, whose 62468-sample frame
+    pads to the least 7-smooth 62500 for ps and reduced (branch side) and
+    to 64512 = 1024 * 63 for idft (window side)."""
 
     cfg = ArrayConfig(32, 45 * DEG)
     spec = SignalSpec(0.2, oversample=8, seed=23)
@@ -248,7 +258,7 @@ class TestSmoothPadding:
 
     @pytest.fixture(scope="class")
     def unpadded(self):
-        tx, _, guard = _ofdm_transmit(self.spec, self.ofdm, self.cfg)
+        tx, _, guard = ofdm_frame(self.spec, self.ofdm, self.cfg, False)
         frame = self.ofdm.n_ofdm_symbols * (self.ofdm.m_carriers + self.ofdm.cp_ratio_num) * 8
         end = guard + frame + guard
         assert len(tx) > end
@@ -296,7 +306,7 @@ class TestOutputNoise:
         """Output noise variance per tone of the element-level reference:
         noise added to every element before alignment, sync and combining."""
         cfg, spec, ofdm = self.cfg, self.spec, self.ofdm
-        tx, _, guard = _ofdm_transmit(spec, ofdm, cfg)
+        tx, _, guard = ofdm_frame(spec, ofdm, cfg, False)
         q = spec.oversample
         received = propagate(tx, cfg, spec)
         clean = sync_mean_delay(phase_align(received))
@@ -395,7 +405,7 @@ def test_kernel_degenerate_sizings_property(case):
     q = spec.oversample
     for sizing, kind in (((n, m), "ps"), ((1, 1), "idft"), ((n_sub, m_group), "reduced")):
         # the reference takes the frame the chain transmits for this sizing
-        tx, _, guard = _ofdm_transmit(spec, ofdm, cfg, _window_side(cfg, spec, ofdm, *sizing))
+        tx, _, guard = ofdm_frame(spec, ofdm, cfg, window_side(cfg, spec, ofdm, *sizing))
         streams = oracle_streams(tx, cfg, spec)
         _, clean, _, _ = _ofdm_receive(cfg, spec, ofdm, np.inf, CombinerSpec.reduced_idft(*sizing))
         expected = oracle_grid(streams, guard, ofdm, q, kind, sizing)
@@ -423,13 +433,10 @@ def window_and_branch(n, n_sub, theta, bw, m, q, cp, n_sym):
     cfg = ArrayConfig(n, theta * DEG)
     spec = SignalSpec(bw, oversample=q, seed=n_sym)
     ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym, cp_ratio_num=cp)
-    tx, _, guard = _ofdm_transmit(spec, ofdm, cfg, True)
+    tx, _, guard = ofdm_frame(spec, ofdm, cfg, True)
     assert len(tx) % (m * q) == 0
-    try:
-        branch = _branch_combine(tx, guard, cfg, spec, ofdm, n_sub, 1)
-    except InsufficientGuard:
-        reject()  # the chain rejects frames shorter than four delay spreads
-    return _window_combine(tx, guard, cfg, spec, ofdm, n_sub), branch, len(tx)
+    branch = _branch_combine(tx.samples, guard, cfg, spec, ofdm, n_sub, 1)
+    return _window_combine(tx.samples, guard, cfg, spec, ofdm, n_sub), branch, len(tx)
 
 
 @settings(max_examples=60)
@@ -439,6 +446,7 @@ def window_and_branch(n, n_sub, theta, bw, m, q, cp, n_sym):
 @example((64, 1, -70.0, 0.6, 24, 8, 23, 4))  # the largest N, CP and delay spread drawn
 @example((12, 12, 40.0, 0.3, 9, 4, 2, 1))  # one branch: the phase sum of tone-wise weights
 @example((16, 4, 0.0, 0.3, 7, 5, 3, 3))  # broadside: no delay spread, odd Mq = 35
+@example((36, 1, 39.0, 0.5, 2, 4, 1, 1))  # L = 96, under four delay spreads (22 samples)
 def test_window_side_matches_branch_side_property(case):
     """For one tone per group, combining on the DFT-window side equals the
     branch side (one IFFT and one demodulation per branch, then the
@@ -466,13 +474,13 @@ def test_combining_side_selection():
     the N = 8 full IDFT at M = 32, 12 symbols, q = 4 (L = 1792) stays on
     the branch side, while N = 16 takes the window side."""
     cfg, spec, ofdm = ArrayConfig(32, 45 * DEG), SignalSpec(0.2, oversample=8), OfdmSpec(128, 60)
-    assert _window_side(cfg, spec, ofdm, 1, 1)
-    assert _window_side(cfg, spec, ofdm, 2, 1)
-    assert _window_side(cfg, spec, ofdm, 4, 1)  # N_r = 8
-    assert not _window_side(cfg, spec, ofdm, 8, 1)  # N_r = 4
-    assert not _window_side(cfg, spec, ofdm, 32, 1)  # N_r = 1
-    assert not _window_side(cfg, spec, ofdm, 1, 2)
-    assert not _window_side(cfg, spec, ofdm, 32, 128)
+    assert window_side(cfg, spec, ofdm, 1, 1)
+    assert window_side(cfg, spec, ofdm, 2, 1)
+    assert window_side(cfg, spec, ofdm, 4, 1)  # N_r = 8
+    assert not window_side(cfg, spec, ofdm, 8, 1)  # N_r = 4
+    assert not window_side(cfg, spec, ofdm, 32, 1)  # N_r = 1
+    assert not window_side(cfg, spec, ofdm, 1, 2)
+    assert not window_side(cfg, spec, ofdm, 32, 128)
     spec, ofdm = SignalSpec(0.1, oversample=4), OfdmSpec(32, 12)
-    assert not _window_side(ArrayConfig(8, 30 * DEG), spec, ofdm, 1, 1)
-    assert _window_side(ArrayConfig(16, 30 * DEG), spec, ofdm, 1, 1)
+    assert not window_side(ArrayConfig(8, 30 * DEG), spec, ofdm, 1, 1)
+    assert window_side(ArrayConfig(16, 30 * DEG), spec, ofdm, 1, 1)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import ofdm_frame
 from squintsim import (
     ArrayConfig,
     CombinerSpec,
@@ -18,7 +19,7 @@ from squintsim import (
     run_single_carrier,
 )
 from squintsim.errors import CombinerRequiresOfdm, DimensionMismatch
-from squintsim.txrx import _ofdm_transmit, _sc_folded_response, _sc_transmit, _smooth_length
+from squintsim.txrx import _sc_folded_response, _sc_transmit, _smooth_length
 from squintsim.wavefront import element_delay_samples
 
 DEG = np.pi / 180.0
@@ -89,6 +90,8 @@ class TestOfdmModulation:
 
         with pytest.raises(DimensionMismatch):
             ofdm_demodulate(ComplexSignal(frame.samples[:-1]), ofdm)
+        with pytest.raises(DimensionMismatch):
+            ofdm_demodulate(ComplexSignal(frame.samples[:0]), ofdm)
 
 
 class TestSingleCarrier:
@@ -142,7 +145,8 @@ class TestSingleCarrier:
         measured gaps are at most 0.033 dB)."""
         cfg = ArrayConfig(n, theta * DEG)
         short = SignalSpec(bw, n_symbols=200, seed=0)
-        g = np.fft.ifft(_sc_folded_response(_sc_transmit(short, cfg)[0], cfg, short))
+        length = short.oversample * len(_sc_transmit(short, cfg)[0])
+        g = np.fft.ifft(_sc_folded_response(length, cfg, short))
         total = np.sum(np.abs(g) ** 2)
         exact = 10 * np.log10(total / (total - abs(g[0]) ** 2))
         assert exact == pytest.approx(exact_db, abs=1e-3)
@@ -161,7 +165,7 @@ class TestSingleCarrier:
         orders)."""
         cfg = ArrayConfig(n, theta * DEG)
         spec = SignalSpec(bw, n_symbols=301, oversample=os, seed=0)
-        folded = _sc_folded_response(_sc_transmit(spec, cfg)[0], cfg, spec)
+        folded = _sc_folded_response(os * len(_sc_transmit(spec, cfg)[0]), cfg, spec)
         assert folded.dtype == np.float64
         mirrored = np.roll(folded[::-1], 1)  # folded[-k]
         assert np.max(np.abs(folded - mirrored)) <= 1e-15 * np.max(np.abs(folded))
@@ -304,6 +308,35 @@ class TestNegativeSteering:
         assert neg.overall_ssir_db == pytest.approx(pos.overall_ssir_db, abs=1e-6)
 
 
+def all_finite(report):
+    tones = [(t.evm_db, t.ssir_db) for t in report.per_tone or []]
+    return np.all(np.isfinite([report.overall_evm_db, report.overall_ssir_db, *np.ravel(tones)]))
+
+
+class TestShortGuardedFrames:
+    """Frames guarded by the chain's own rule run however short they are
+    against the delay spread: the guard check tests only the zeros that the
+    circular delays wrap. Both configs were once rejected as shorter than
+    four delay spreads."""
+
+    @pytest.mark.parametrize(
+        "combiner",
+        [CombinerSpec.phase_shifter_sum(), CombinerSpec.full_idft(), CombinerSpec.reduced_idft(6, 1)],
+    )
+    def test_ofdm_single_symbol(self, combiner):
+        # spread 22.0 samples, guard 39, L = 90 (a quarter is 22)
+        cfg = ArrayConfig(36, 39 * DEG)
+        spec = SignalSpec(0.5, oversample=4, seed=0)
+        ofdm = OfdmSpec(2, n_ofdm_symbols=1, cp_ratio_num=1)
+        assert all_finite(run_ofdm(cfg, spec, ofdm, 20.0, combiner))
+
+    def test_single_carrier_large_array(self):
+        # spread 1772 samples against a 4800-sample oversampled frame
+        cfg = ArrayConfig(1024, 60 * DEG)
+        spec = SignalSpec(0.5, n_symbols=100, seed=0)
+        assert all_finite(run_single_carrier(cfg, spec, 20.0))
+
+
 def is_7_smooth(n):
     for p in (2, 3, 5, 7):
         while n % p == 0:
@@ -329,9 +362,10 @@ def test_smooth_length_is_least_7_smooth_property(n):
 
 class TestSmoothFrames:
     """Trailing zeros pad both transmit frames to a 7-smooth length (the
-    single-carrier one to os times a 7-smooth symbol count); the leading
-    guard, the symbol instants and the OFDM frame stay where the unpadded
-    layout put them. Configs of the benchmark workloads
+    single-carrier one, built at the symbol rate, to a 7-smooth symbol
+    count; the oversampled frame it stands for is os times as long); the
+    leading guard, the first symbol and the OFDM frame stay where the
+    unpadded layout put them. Configs of the benchmark workloads
     (ofdm_combiners, sc_link, the largest OFDM cell of ssir_sweep)."""
 
     @pytest.mark.parametrize(
@@ -341,7 +375,7 @@ class TestSmoothFrames:
     def test_ofdm_frame_layout(self, n, theta, bw, m, n_sym, length):
         cfg, spec = ArrayConfig(n, theta * DEG), SignalSpec(bw, oversample=8, seed=5)
         ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym)
-        tx, grid, guard = _ofdm_transmit(spec, ofdm, cfg)
+        tx, grid, guard = ofdm_frame(spec, ofdm, cfg, False)
         spread = (n - 1) * abs(element_delay_samples(cfg, spec, 8))
         assert guard == int(np.ceil(spread)) + 16
         frame = ofdm_modulate(grid, ofdm, 8).samples
@@ -366,8 +400,8 @@ class TestSmoothFrames:
         where the branch side's frame has them."""
         cfg, spec = ArrayConfig(n, theta * DEG), SignalSpec(bw, oversample=q, seed=5)
         ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym, cp_ratio_num=cp)
-        tx, grid, guard = _ofdm_transmit(spec, ofdm, cfg, True)
-        branch, branch_grid, branch_guard = _ofdm_transmit(spec, ofdm, cfg)
+        tx, grid, guard = ofdm_frame(spec, ofdm, cfg, True)
+        branch, branch_grid, branch_guard = ofdm_frame(spec, ofdm, cfg, False)
         assert guard == branch_guard and np.array_equal(grid, branch_grid)
         frame = ofdm_modulate(grid, ofdm, q).samples
         assert len(frame) + 2 * guard == length
@@ -377,24 +411,25 @@ class TestSmoothFrames:
         assert not np.any(tx.samples[:guard]) and not np.any(tx.samples[guard + len(frame):])
 
     def test_single_carrier_frame_layout(self):
-        """The grid is os times a 7-smooth symbol count, so its symbol-rate
-        subsampling holds every impulse. At sc_link (80464 samples) this is
-        also the least 7-smooth length; at N=256, 60 deg, BW 0.5 it is
+        """The symbol-rate frame is a 7-smooth symbol count; the oversampled
+        frame it stands for is os times as long, with each symbol's instant
+        at os times its index. At sc_link (80464 oversampled samples) this
+        is also the least 7-smooth length; at N=256, 60 deg, BW 0.5 it is
         9408, not 9375."""
         for n, theta, bw, n_sym, length, padded in (
             (32, 30, 0.1, 10_000, 80464, 80640),
             (256, 60, 0.5, 1000, 9344, 9408),
         ):
             cfg, spec = ArrayConfig(n, theta * DEG), SignalSpec(bw, n_symbols=n_sym, seed=5)
-            tx, symbols, instants = _sc_transmit(spec, cfg)
+            frame, symbols, start = _sc_transmit(spec, cfg)
             os, span = spec.oversample, spec.rrc_span
             spread = (n - 1) * abs(element_delay_samples(cfg, spec, os))
             guard_syms = int(np.ceil(spread / os)) + span + 4
             first = guard_syms * os + span * os // 2
-            assert instants == slice(first, first + n_sym * os, os)
+            assert start * os == first
             assert (n_sym + 2 * guard_syms + span) * os == length
-            assert len(tx) == os * least_7_smooth(length // os) == padded
-            impulses = np.zeros(len(tx), dtype=complex)
-            impulses[instants] = symbols
-            assert np.array_equal(tx.samples, impulses)
+            assert os * len(frame) == os * least_7_smooth(length // os) == padded
+            expected = np.zeros(len(frame), dtype=complex)
+            expected[start:start + n_sym] = symbols
+            assert np.array_equal(frame, expected)
             assert first % os == 0
