@@ -133,16 +133,28 @@ def _dirichlet(x: np.ndarray, n: int) -> np.ndarray:
     exactly ``n`` times the sign ``(-1)^(k (n - 1))``, which is +1 for odd
     ``n``. One element's kernel is all ones. Every step is odd-symmetric
     in ``x``, so the kernel is exactly even: ``D(-x) == D(x)`` bit for
-    bit."""
+    bit.
+
+    The steps write into two arrays made here (0-d for a scalar ``x``),
+    never into ``x``: ``k``, overwritten by ``u`` and then by the kernel
+    once the sign of each bin is known, and the denominator. At the poles
+    the quotient is n / 1."""
     if n == 1:
         return np.ones_like(x)
-    k = np.rint(x)
-    u = x - k
-    den = np.sin(np.pi * u)
-    amp = np.full_like(u, float(n))
-    np.divide(np.sin(np.pi * n * u), den, out=amp, where=den != 0.0)
+    k = np.asarray(np.rint(x))
     if n % 2 == 0:
-        amp[(k.astype(np.int64) & 1) == 1] *= -1.0
+        flip = (k.astype(np.int64) & 1) == 1
+    u = np.subtract(x, k, out=k)
+    den = np.multiply(np.pi, u, out=np.empty_like(u))
+    np.sin(den, out=den)
+    amp = np.multiply(np.pi * n, u, out=u)
+    np.sin(amp, out=amp)
+    poles = den == 0.0
+    np.copyto(den, 1.0, where=poles)
+    np.copyto(amp, float(n), where=poles)
+    np.divide(amp, den, out=amp)
+    if n % 2 == 0:
+        np.multiply(amp, -1.0, out=amp, where=flip)
     return amp
 
 

@@ -54,6 +54,20 @@ and the matched filter has unit energy, so every combiner's output noise
 is exactly CN(0, 10^(-snr_db/10) / N) per symbol (single carrier) or per
 tone and symbol (OFDM).
 
+Buffers: a run writes only into arrays it made, and keeps none of them
+after it returns (no cache or workspace lives between runs). The
+transmitter modulates straight into the zeroed, padded frame
+(:func:`_modulate_into`, which :func:`ofdm_modulate` shares). The branch
+side owns the frame spectrum; each branch stream is formed in the one
+buffer that :func:`squintsim.wavefront.branch_responses` yields (for a
+single branch, in the spectrum itself), and it and its DFT windows are
+transformed in place and demodulated into that branch's row of the branch
+grids. The window side owns the spectrum (filtered and inverse transformed
+in place when n_sub > 1), one doubled kernel reversal and one buffer for
+the imaginary, then the real part of the frame. No function writes into an
+array its caller passed in: the chain only reads the frame, and
+:func:`ofdm_demodulate` transforms a copy of its signal.
+
 Runs are pure functions of (configs, seed); sweep points may execute
 concurrently when every point derives its own seed.
 """
@@ -86,8 +100,8 @@ from .dsp import (
 )
 from .errors import CombinerRequiresOfdm, DimensionMismatch
 from .ofdm_spec import OfdmSpec
-from .wavefront import (_delay_spread, _even_extension, array_kernel, branch_responses,
-                        element_delay_samples)
+from .wavefront import (_check_guard, _delay_spread, _times_even, array_kernel,
+                        branch_responses, element_delay_samples)
 
 # not called here: bound because squintbench/tracer.py wraps these names on this module
 from .combine import full_idft_weights  # noqa: F401
@@ -151,13 +165,27 @@ def ofdm_modulate(grid: np.ndarray, ofdm: OfdmSpec, oversample: int = 1) -> Comp
         raise DimensionMismatch(
             f"grid must be (n_symbols, {ofdm.m_carriers}), got {grid.shape}"
         )
+    step = (ofdm.m_carriers + ofdm.cp_ratio_num) * oversample
+    frame = np.zeros(grid.shape[0] * step, dtype=np.complex128)
+    return ComplexSignal(_modulate_into(frame, grid, ofdm, oversample),
+                         sample_rate=float(oversample))
+
+
+def _modulate_into(frame: np.ndarray, grid: np.ndarray, ofdm: OfdmSpec,
+                   oversample: int) -> np.ndarray:
+    """Write the cyclic-prefixed symbols of ``grid`` into ``frame``, a
+    zeroed contiguous array of S (M + cp) q samples, and return it: each
+    symbol's tones go to its core slot, one batched in-place inverse FFT
+    and scaling make the core, and the prefix is copied from its tail."""
     m, q = ofdm.m_carriers, oversample
-    spec = np.zeros((grid.shape[0], m * q), dtype=np.complex128)
-    spec[:, _tone_bins(ofdm, q)] = grid
-    core = np.fft.ifft(spec, axis=1) * math.sqrt(m * q)
-    cp = core[:, m * q - ofdm.cp_ratio_num * q:]
-    blocks = np.concatenate([cp, core], axis=1)
-    return ComplexSignal(blocks.ravel(), sample_rate=float(q))
+    mq, cp = m * q, ofdm.cp_ratio_num * q
+    blocks = frame.reshape(grid.shape[0], mq + cp)
+    core = blocks[:, cp:]
+    core[:, _tone_bins(ofdm, q)] = grid
+    np.fft.ifft(core, axis=1, out=core)
+    core *= math.sqrt(mq)
+    blocks[:, :cp] = core[:, mq - cp:]
+    return frame
 
 
 def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) -> np.ndarray:
@@ -177,7 +205,11 @@ def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) 
         raise DimensionMismatch(
             f"frame length {len(x)} is not a positive whole number of {block}-sample blocks"
         )
-    return _demodulate(x, _window_starts(ofdm, oversample, 0, len(x) // block), ofdm, oversample)
+    n_symbols = len(x) // block
+    # a copy: the windows are transformed in place
+    return _demodulate(np.array(x, dtype=np.complex128),
+                       _window_starts(ofdm, oversample, 0, n_symbols), ofdm, oversample,
+                       np.empty((n_symbols, ofdm.m_carriers), dtype=np.complex128))
 
 
 def _window_starts(ofdm: OfdmSpec, oversample: int, guard: int, n_symbols: int) -> slice:
@@ -189,11 +221,16 @@ def _window_starts(ofdm: OfdmSpec, oversample: int, guard: int, n_symbols: int) 
     return slice(guard + cp * q, guard + cp * q + n_symbols * step, step)
 
 
-def _demodulate(x: np.ndarray, starts: slice, ofdm: OfdmSpec, oversample: int) -> np.ndarray:
-    # the DFT windows at ``starts``, a strided view of ``x``, at the tone bins
+def _demodulate(x: np.ndarray, starts: slice, ofdm: OfdmSpec, oversample: int,
+                out: np.ndarray) -> np.ndarray:
+    """The tones of the DFT windows at ``starts`` written into ``out``
+    (S x M). The windows, one strided view of ``x``, do not overlap and are
+    transformed in place, so ``x`` must be an array the caller owns and
+    no longer needs."""
     mq = ofdm.m_carriers * oversample
-    windows = np.lib.stride_tricks.sliding_window_view(x, mq)[starts]
-    return np.fft.fft(windows, axis=1)[:, _tone_bins(ofdm, oversample)] / math.sqrt(mq)
+    windows = np.lib.stride_tricks.sliding_window_view(x, mq, writeable=True)[starts]
+    np.fft.fft(windows, axis=1, out=windows)
+    return np.divide(windows[:, _tone_bins(ofdm, oversample)], math.sqrt(mq), out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -282,18 +319,29 @@ def _sc_folded_response(length: int, cfg: ArrayConfig, spec: SignalSpec) -> np.n
 
     Exactness: the taps are real and even, so R is the real part of their
     ``rfft``, and H is the real kernel of :func:`array_kernel`; the product
-    is formed on the half spectrum and even-extended before folding. The
-    result is real and even about bin 0 (to the rounding of the fold's
-    sums), so g is real and even too.
+    is formed on the half spectrum, and each of the ``os`` rows of its even
+    extension is summed from views of it, in row order, onto zeros (as
+    ``full.reshape(os, -1).sum(axis=0)`` would). The result is real and
+    even about bin 0 (to the rounding of the fold's sums), so g is real and
+    even too.
     """
     os = spec.oversample
     taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, os)
-    padded = np.zeros(length)
-    padded[:len(taps)] = taps
-    rrc = np.fft.rfft(np.roll(padded, -(len(taps) // 2))).real
-    half = rrc**2 * array_kernel(length, cfg, spec, cfg.n_elements)
-    full = _even_extension(half, length)
-    return full.reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)
+    centre = len(taps) // 2
+    rolled = np.zeros(length)  # the taps with their centre at sample 0
+    rolled[:len(taps) - centre] = taps[centre:]
+    rolled[length - centre:] = taps[:centre]
+    rrc = np.fft.rfft(rolled).real
+    half = array_kernel(length, cfg, spec, cfg.n_elements)
+    half *= np.square(rrc, out=rrc)
+    n, top = length // os, len(half)
+    folded = np.zeros(n)
+    for lo in range(0, length, n):  # row [lo, lo + n) of the even extension
+        mid = min(max(top, lo), lo + n)
+        folded[:mid - lo] += half[lo:mid]
+        folded[mid - lo:] += half[length - mid:length - lo - n:-1]
+    folded /= os * cfg.n_elements
+    return folded
 
 
 def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
@@ -308,8 +356,9 @@ def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
     This equals ``ifft(fft(up) R^2 H / N)`` at the instants.
     """
     frame, symbols, first = _sc_transmit(spec, cfg)
-    spectrum = np.fft.fft(frame) * _sc_folded_response(spec.oversample * len(frame), cfg, spec)
-    rx_clean = np.fft.ifft(spectrum)[first:first + spec.n_symbols]
+    spectrum = np.fft.fft(frame)
+    spectrum *= _sc_folded_response(spec.oversample * len(frame), cfg, spec)
+    rx_clean = np.fft.ifft(spectrum, out=spectrum)[first:first + spec.n_symbols]
     return symbols, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
 
 
@@ -371,9 +420,9 @@ def _ofdm_transmit(spec: SignalSpec, ofdm: OfdmSpec, guard: int, length: int):
     shape = (ofdm.n_ofdm_symbols, ofdm.m_carriers)
     indices = rng.integers(0, spec.modulation_order, shape)
     grid = qam_map(indices.ravel(), spec.modulation_order).samples.reshape(shape)
-    frame = ofdm_modulate(grid, ofdm, spec.oversample).samples
     padded = np.zeros(length, np.complex128)
-    padded[guard:guard + len(frame)] = frame
+    step = (ofdm.m_carriers + ofdm.cp_ratio_num) * spec.oversample
+    _modulate_into(padded[guard:guard + shape[0] * step], grid, ofdm, spec.oversample)
     return padded, grid
 
 
@@ -398,14 +447,30 @@ def _window_side(cfg: ArrayConfig, ofdm: OfdmSpec, n_sub: int, m_group: int, len
 def _branch_combine(x: np.ndarray, guard: int, cfg: ArrayConfig, spec: SignalSpec,
                     ofdm: OfdmSpec, n_sub: int, m_group: int) -> np.ndarray:
     """The clean combined grid on the branch side: one full-frame inverse
-    FFT and one demodulation per branch, then the tone-domain kernel."""
+    FFT and one demodulation per branch, then the tone-domain kernel.
+
+    The run owns two frame-length work buffers: the frame spectrum and one
+    branch stream, the buffer that :func:`branch_responses` yields each
+    response in (for a single branch, the spectrum itself: its real kernel
+    is applied in place through half-spectrum views). Each branch stream is
+    transformed in place, its DFT windows too, and demodulated straight
+    into its row of the branch grids. ``x`` is only read.
+    """
     weights = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
     q, shape = spec.oversample, (ofdm.n_ofdm_symbols, ofdm.m_carriers)
     starts = _window_starts(ofdm, q, guard, shape[0])
-    grids = np.empty((cfg.n_elements // n_sub,) + shape, dtype=np.complex128)
+    n_r = cfg.n_elements // n_sub
+    grids = np.empty((n_r,) + shape, dtype=np.complex128)
     spectrum = np.fft.fft(x)
-    for r, response in enumerate(branch_responses(x, cfg, spec, n_sub)):
-        grids[r] = _demodulate(np.fft.ifft(spectrum * response), starts, ofdm, q)
+    if n_r == 1:
+        _check_guard(x, _delay_spread(cfg, spec, q))
+        streams = [_times_even(spectrum, array_kernel(len(x), cfg, spec, n_sub))]
+    else:
+        streams = (np.multiply(spectrum, response, out=response)
+                   for response in branch_responses(x, cfg, spec, n_sub))
+    for r, stream in enumerate(streams):
+        np.fft.ifft(stream, out=stream)
+        _demodulate(stream, starts, ofdm, q, grids[r])
     return combine_branch_grids(grids, weights, cfg.n_elements)
 
 
@@ -413,8 +478,13 @@ def _box_response(p: np.ndarray, length: int, width: int) -> np.ndarray:
     """``sum_{n < width} exp(j 2 pi p n / length)`` at integer bins ``p``:
     the response of a forward ``width``-sample box sum on a ``length``
     grid, its linear phase reduced exactly in integers."""
-    phase = np.exp(1j * np.pi * ((p * (width - 1)) % (2 * length)) / length)
-    return phase * _dirichlet(p / length, width)
+    turns = p * (width - 1)
+    turns %= 2 * length
+    phase = np.multiply(1j * np.pi, turns, out=np.empty(turns.shape, np.complex128))
+    phase /= length
+    np.exp(phase, out=phase)
+    phase *= _dirichlet(p / length, width)
+    return phase
 
 
 def _window_combine(x: np.ndarray, guard: int, cfg: ArrayConfig, spec: SignalSpec,
@@ -447,24 +517,53 @@ def _window_combine(x: np.ndarray, guard: int, cfg: ArrayConfig, spec: SignalSpe
     starts = np.arange(at.start, at.stop, at.step)
     spectrum = np.fft.fft(x)
     if n_sub > 1:
-        spectrum *= _even_extension(array_kernel(length, cfg, spec, n_sub), length)
-        x = np.fft.ifft(spectrum)
-    p = np.arange(length // 2 + 1)
-    abar = np.fft.irfft(_dirichlet(p * stride / length, n_r) * _box_response(p, length, mq),
-                        length)
-    # row L - a_s of the doubled reversal holds abar[(a_s - u) mod L] over u;
-    # the starts step evenly, so the S windows are one strided view
-    rev = np.roll(abar[::-1], 1)
-    rows = np.lib.stride_tricks.sliding_window_view(np.concatenate([rev, rev]), length)
-    windows = rows[length - at.start::-at.step][:len(starts)].reshape(len(starts), -1, mq)
-    folds = np.einsum("sjm,jm->sm", windows, np.ascontiguousarray(x.real).reshape(-1, mq))
-    folds = folds + 1j * np.einsum("sjm,jm->sm", windows,
-                                   np.ascontiguousarray(x.imag).reshape(-1, mq))
+        _times_even(spectrum, array_kernel(length, cfg, spec, n_sub))
+    correction = _nyquist_correction(spectrum, starts, ofdm, q, stride, n_r)
+    # z: the frame filtered by the sub-array kernel, in the spectrum's buffer;
+    # the spectrum is not read past the correction
+    z = np.fft.ifft(spectrum, out=spectrum) if n_sub > 1 else x
+    del spectrum
     kappa = np.arange(m) - ofdm.center_tone
-    grid = np.fft.fft(folds, axis=1)[:, kappa % mq]
-    grid += _nyquist_correction(spectrum, starts, ofdm, q, stride, n_r) / length
+    grid = _window_dfts(z, at, len(starts), mq, stride, n_r)[:, kappa % mq]
+    grid += correction / length
     const = np.exp(1j * np.pi * kappa * (n_r - 1) * stride / mq) / (cfg.n_elements * math.sqrt(mq))
     return grid * const * np.exp(2j * np.pi * (np.outer(starts, kappa) % mq) / mq)
+
+
+def _window_dfts(z: np.ndarray, at: slice, n_symbols: int, mq: int, stride: float,
+                 n_r: int) -> np.ndarray:
+    """``FFT_Mq(fold_Mq(z abar[(a_s - .) mod L]))`` for the windows at
+    ``at`` (see :func:`_window_combine`), (S x Mq); the kernel, its doubled
+    reversal and the real and imaginary parts of ``z`` live only here."""
+    length = len(z)
+    # row L - a_s of the doubled reversal holds abar[(a_s - u) mod L] over u;
+    # the starts step evenly, so the S windows are one strided view
+    rows = np.lib.stride_tricks.sliding_window_view(_doubled_reversal(length, mq, stride, n_r),
+                                                    length)
+    windows = rows[length - at.start::-at.step][:n_symbols].reshape(n_symbols, -1, mq)
+    part = np.empty((length // mq, mq))  # z.imag, then z.real, contiguous
+    np.copyto(part, z.imag.reshape(-1, mq))
+    sums = np.einsum("sjm,jm->sm", windows, part)
+    folds = np.multiply(1j, sums)
+    np.copyto(part, z.real.reshape(-1, mq))
+    folds += np.einsum("sjm,jm->sm", windows, part, out=sums)
+    return np.fft.fft(folds, axis=1, out=folds)
+
+
+def _doubled_reversal(length: int, mq: int, stride: float, n_r: int) -> np.ndarray:
+    """``abar[(-u) mod L]`` twice over, u < 2L: ``abar`` is the Mq-sample
+    box sum of the N_r-branch array impulse response (one ``irfft``)."""
+    p = np.arange(length // 2 + 1)
+    scaled = p * stride
+    scaled /= length
+    kernel = _box_response(p, length, mq)
+    kernel *= _dirichlet(scaled, n_r)
+    abar = np.fft.irfft(kernel, length)
+    doubled = np.empty(2 * length)
+    doubled[0] = abar[0]
+    doubled[1:length + 1] = abar[::-1]
+    doubled[length + 1:] = doubled[1:length]
+    return doubled
 
 
 def _nyquist_correction(spectrum: np.ndarray, starts: np.ndarray, ofdm: OfdmSpec, q: int,

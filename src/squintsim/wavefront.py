@@ -138,6 +138,17 @@ def _even_extension(half: np.ndarray, length: int) -> np.ndarray:
     return np.concatenate([half, half[1:(length + 1) // 2][::-1]])
 
 
+def _times_even(spectrum: np.ndarray, half: np.ndarray) -> np.ndarray:
+    """``spectrum`` times the even extension of ``half``, in place: the
+    bins ``0 .. L // 2`` by ``half``, the rest by its reversed view, with
+    no full-length kernel. Bit-identical to ``spectrum *= _even_extension(
+    half, L)``."""
+    length = len(spectrum)
+    spectrum[:len(half)] *= half
+    spectrum[len(half):] *= half[(length + 1) // 2 - 1:0:-1]
+    return spectrum
+
+
 def array_kernel(length: int, cfg: ArrayConfig, spec: SignalSpec, n_sub: int) -> np.ndarray:
     """The real kernel ``sin(pi n_sub x) / sin(pi x)`` of ``x = f dtau`` on
     the non-negative bins ``0 .. length // 2`` of a ``length``-sample FFT
@@ -148,8 +159,9 @@ def array_kernel(length: int, cfg: ArrayConfig, spec: SignalSpec, n_sub: int) ->
     and the kernel is exactly even, so these values are bit-identical to
     the full-grid kernel at bins ``k`` and ``L - k``.
     """
-    dtau = element_delay_samples(cfg, spec, spec.oversample)
-    return _dirichlet(np.fft.rfftfreq(length) * dtau, n_sub)
+    x = np.fft.rfftfreq(length)
+    x *= element_delay_samples(cfg, spec, spec.oversample)
+    return _dirichlet(x, n_sub)
 
 
 def branch_responses(
@@ -169,33 +181,67 @@ def branch_responses(
     ``x = f dtau`` times the pure delay of the sub-array centre,
     ``(r - (n_r - 1) / 2) n_sub dtau`` after sync. A single branch
     (``n_sub = N``: the phase-shifter sum and the whole single-carrier
-    array) is centred, so its response is the real kernel alone; otherwise
-    branches step by the recurrence ``z^n_sub`` with
-    ``z = exp(-j 2 pi f dtau)``, two complex exponentials per frame
-    whatever the array size. Every yielded array is fresh. Raises
-    :class:`InsufficientGuard` like :func:`propagate`.
+    array) is centred, so its response is the real kernel alone, yielded as
+    a fresh array; otherwise branches step by the recurrence ``z^n_sub``
+    with ``z = exp(-j 2 pi f dtau)``, two complex exponentials per frame
+    whatever the array size. Raises :class:`InsufficientGuard` like
+    :func:`propagate`.
+
+    With more than one branch every response is written into one buffer
+    that the generator rewrites in full on the next step: use each before
+    taking the next (the caller may write into it meanwhile), and copy what
+    must outlive the step.
 
     Exactness: the kernel is the even extension of :func:`array_kernel`,
     bit-identical to evaluating it on the full ``fftfreq`` grid, for even
-    and odd ``len(frame)``.
+    and odd ``len(frame)``. Every impulse response is real, so every branch
+    response is conjugate-symmetric, and the recurrence runs on the
+    non-negative bins of the ``rfft`` grid only: ``fftfreq`` gives bin
+    ``L - k`` exactly ``-x_k`` (the even-L Nyquist bin too), every step is
+    odd in x, and bin ``L - k`` is the conjugate of bin ``k``. At dtau = 0
+    every bin holds the same real value with a +0 imaginary part, which the
+    conjugate would turn to -0, so broadside copies it instead.
     """
     n_el = cfg.n_elements
     if n_sub < 1 or n_el % n_sub:
         raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {n_el}")
     _check_guard(frame, _delay_spread(cfg, spec, spec.oversample))
-    half = array_kernel(len(frame), cfg, spec, n_sub)
+    length = len(frame)
     n_r = n_el // n_sub
     if n_r == 1:
-        yield _even_extension(half, len(frame))
+        yield _even_extension(array_kernel(length, cfg, spec, n_sub), length)
         return
-    x = np.fft.fftfreq(len(frame)) * element_delay_samples(cfg, spec, spec.oversample)
-    # the centre of branch 0 leads the centroid by (n_r - 1) / 2 strides
-    response = np.exp(1j * np.pi * (n_r - 1) * n_sub * x)
-    response *= _even_extension(half, len(frame))
-    stride = np.exp(-2j * np.pi * n_sub * x)
+    lower, stride = _first_branch(length, cfg, spec, n_sub)
+    mirror = np.conjugate if element_delay_samples(cfg, spec, spec.oversample) else np.positive
+    response = np.empty(length, dtype=np.complex128)
+    # bins 0 .. (L - 1) // 2 are the rfft bins; bins L - 1 down to L // 2
+    # mirror rfft bins 1 .. L // 2 (for even L the Nyquist bin, which fftfreq
+    # gives as -x, mirrors itself)
+    positive, negative = response[:(length + 1) // 2], response[:(length - 1) // 2:-1]
     for _ in range(n_r):
+        np.copyto(positive, lower[:len(positive)])
+        mirror(lower[1:], out=negative)
         yield response
-        response = response * stride
+        lower *= stride
+
+
+def _first_branch(length: int, cfg: ArrayConfig, spec: SignalSpec,
+                  n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """Branch 0's response and the step ``z^n_sub`` to the next branch, on
+    the ``rfft`` grid of a ``length``-sample frame."""
+    n_r = cfg.n_elements // n_sub
+    x = np.fft.rfftfreq(length)
+    x *= element_delay_samples(cfg, spec, spec.oversample)
+    # the centre of branch 0 leads the centroid by (n_r - 1) / 2 strides
+    first = _exp(1j * np.pi * (n_r - 1) * n_sub, x)
+    first *= _dirichlet(x, n_sub)  # array_kernel on the same grid
+    return first, _exp(-2j * np.pi * n_sub, x)
+
+
+def _exp(c: complex, x: np.ndarray) -> np.ndarray:
+    """``exp(c * x)`` for a complex scalar ``c``, in one complex array."""
+    out = np.multiply(c, x, out=np.empty(x.shape, dtype=np.complex128))
+    return np.exp(out, out=out)
 
 
 def phase_align(streams: ElementStreams) -> ElementStreams:

@@ -8,7 +8,16 @@ the full FFT grid (which the half-spectrum kernel must reproduce). The
 references take the chains' own frames: :func:`sc_impulses` upsamples the
 single-carrier frame, and :func:`ofdm_frame` builds the OFDM frame of
 either combining side by the chain's layout.
+
+Three references keep the plain, allocating form of a step the package now
+computes in place or on half-spectrum views, with the same arithmetic in
+the same order, so the package must match them bit for bit: the Dirichlet
+kernel (:func:`dirichlet`), the cyclic-prefixed OFDM frame
+(:func:`cp_frame`) and the folded single-carrier response
+(:func:`sc_folded_response`).
 """
+
+import math
 
 import numpy as np
 
@@ -17,7 +26,8 @@ from squintsim.combine import full_idft_weights, reduced_idft_weights
 from squintsim.dsp import _as_samples, rrc_taps
 from squintsim.errors import IndivisibleSizing
 from squintsim.txrx import _ofdm_guard, _ofdm_length, _ofdm_transmit, _sc_transmit
-from squintsim.wavefront import _dirichlet, branch_responses, element_delay_samples
+from squintsim.wavefront import (_dirichlet, _even_extension, array_kernel, branch_responses,
+                                 element_delay_samples)
 
 
 def dft(signal: ComplexSignal) -> ComplexSignal:
@@ -131,3 +141,43 @@ def full_grid_branch_responses(tx, cfg, spec, n_sub) -> list[np.ndarray]:
         responses.append(response)
         response = response * stride
     return responses
+
+
+def dirichlet(x, n: int):
+    """The kernel ``sin(pi n x) / sin(pi x)`` with a fresh array per step:
+    ``u = x - rint(x)``, exactly n at the poles, the sign ``(-1)^(k (n - 1))``
+    for even n."""
+    if n == 1:
+        return np.ones_like(x)
+    k = np.rint(x)
+    u = x - k
+    den = np.sin(np.pi * u)
+    amp = np.full_like(u, float(n))
+    np.divide(np.sin(np.pi * n * u), den, out=amp, where=den != 0.0)
+    if n % 2 == 0:
+        amp[(k.astype(np.int64) & 1) == 1] *= -1.0
+    return amp
+
+
+def cp_frame(grid: np.ndarray, ofdm: OfdmSpec, q: int) -> np.ndarray:
+    """The cyclic-prefixed frame of ``grid`` built from a zero spectrum grid,
+    its inverse FFT and a concatenation of prefix and core."""
+    m = ofdm.m_carriers
+    spec = np.zeros((grid.shape[0], m * q), dtype=np.complex128)
+    spec[:, (np.arange(m) - ofdm.center_tone) % (m * q)] = grid
+    core = np.fft.ifft(spec, axis=1) * math.sqrt(m * q)
+    cp = core[:, m * q - ofdm.cp_ratio_num * q:]
+    return np.concatenate([cp, core], axis=1).ravel()
+
+
+def sc_folded_response(length: int, cfg, spec) -> np.ndarray:
+    """R^2 H / N folded onto the symbol-rate grid from the full even
+    extension of its half spectrum, with the taps rolled by ``np.roll``."""
+    os = spec.oversample
+    taps = rrc_taps(spec.rrc_rolloff, spec.rrc_span, os)
+    padded = np.zeros(length)
+    padded[:len(taps)] = taps
+    rrc = np.fft.rfft(np.roll(padded, -(len(taps) // 2))).real
+    half = rrc**2 * array_kernel(length, cfg, spec, cfg.n_elements)
+    full = _even_extension(half, length)
+    return full.reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)

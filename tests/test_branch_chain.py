@@ -11,6 +11,7 @@ combiners and the oversampled single-carrier product of ``oracles``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dirichlet,
     full_grid_branch_responses,
     full_idft_combine,
     ofdm_frame,
@@ -139,6 +141,47 @@ def bits(a: np.ndarray) -> bytes:
     return a.dtype.str.encode() + np.ascontiguousarray(a).tobytes()
 
 
+kernel_values = st.one_of(
+    st.floats(-1e4, 1e4),
+    st.integers(-300, 300).map(float),  # the removable poles
+    st.integers(-600, 600).map(lambda k: k / 2),  # half-integers: rint ties
+)
+
+
+@st.composite
+def kernel_input(draw):
+    """Every form ``_dirichlet`` is called with: float arrays (empty too),
+    0-d arrays, Python and numpy scalars, integer arrays and integers."""
+    form = draw(st.sampled_from(["array", "0-d", "float", "float64", "int array", "int"]))
+    if form in ("array", "int array"):
+        values = draw(st.lists(kernel_values if form == "array" else st.integers(-50, 50),
+                               max_size=40))
+        return np.array(values, dtype=float if form == "array" else np.int64)
+    if form == "int":
+        return draw(st.integers(-50, 50))
+    value = draw(kernel_values)
+    return {"0-d": np.array, "float": float, "float64": np.float64}[form](value)
+
+
+@settings(max_examples=300)
+@given(kernel_input(), st.integers(1, 300))
+@example(np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, -0.5, 2.5, 1e-300]), 2)
+@example(np.array([0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, -0.5, 2.5, 1e-300]), 33)
+@example(np.float64(-0.0), 4)  # a pole at a signed zero, even n
+@example(np.array(-3.0), 6)  # a 0-d pole with the sign flip
+@example(np.arange(-4, 5), 8)  # integers: every entry a pole
+@example(7, 1)  # one element: ones_like keeps the input's type
+def test_dirichlet_matches_allocating_oracle_property(x, n):
+    """The in-place kernel is bit for bit (dtype, shape and signed zeros
+    included) the allocating oracle, and leaves its argument alone."""
+    before = bits(np.asarray(x))
+    got, want = _dirichlet(x, n), dirichlet(x, n)
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert bits(np.asarray(got)) == bits(np.asarray(want))
+    assert bits(np.asarray(x)) == before
+
+
 def divisor_sizing(n: int):
     return st.tuples(st.just(n), st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
 
@@ -164,7 +207,7 @@ def test_array_kernel_is_the_full_grid_kernel_property(sizing, theta, bw, length
     x = np.fft.fftfreq(length) * element_delay_samples(cfg, spec, 4.0)
     half = array_kernel(length, cfg, spec, n_sub)
     assert bits(half) == bits(_dirichlet(x, n_sub)[:length // 2 + 1])
-    got = list(branch_responses(tx.samples, cfg, spec, n_sub))
+    got = [response.copy() for response in branch_responses(tx.samples, cfg, spec, n_sub)]
     want = full_grid_branch_responses(tx, cfg, spec, n_sub)
     assert len(got) == len(want) == n // n_sub
     assert all(bits(a) == bits(b) for a, b in zip(got, want))
@@ -484,3 +527,81 @@ def test_combining_side_selection():
     spec, ofdm = SignalSpec(0.1, oversample=4), OfdmSpec(32, 12)
     assert not window_side(ArrayConfig(8, 30 * DEG), spec, ofdm, 1, 1)
     assert window_side(ArrayConfig(16, 30 * DEG), spec, ofdm, 1, 1)
+
+
+class TestInputFrameUnchanged:
+    """The combining sides transform, filter and demodulate in buffers of
+    their own and only read the frame they are given, so the caller's frame
+    (here the one both sides are compared on) keeps every bit; so does the
+    signal given to ``ofdm_demodulate``, whose windows the chain transforms
+    in place."""
+
+    cfg = ArrayConfig(16, 30 * DEG)
+    spec = SignalSpec(0.2, oversample=4, seed=31)
+    ofdm = OfdmSpec(16, n_ofdm_symbols=6)
+
+    def frame(self):
+        tx, _, guard = ofdm_frame(self.spec, self.ofdm, self.cfg, True)
+        return tx.samples, guard
+
+    @pytest.mark.parametrize("n_sub, m_group", [(16, 16), (4, 4), (1, 1), (16, 1)])
+    def test_branch_side(self, n_sub, m_group):
+        x, guard = self.frame()
+        before = bits(x)
+        _branch_combine(x, guard, self.cfg, self.spec, self.ofdm, n_sub, m_group)
+        assert bits(x) == before
+
+    @pytest.mark.parametrize("n_sub", [1, 4, 16])
+    def test_window_side(self, n_sub):
+        x, guard = self.frame()
+        before = bits(x)
+        _window_combine(x, guard, self.cfg, self.spec, self.ofdm, n_sub)
+        assert bits(x) == before
+
+    def test_ofdm_demodulate(self):
+        x, guard = self.frame()
+        before = bits(x)
+        demod(x, guard, self.ofdm, self.spec.oversample)
+        assert bits(x) == before
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that ``fn(*args)`` holds at once, by tracemalloc."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "combiner, bound",
+    [
+        (CombinerSpec.phase_shifter_sum(), 3.5),  # branch side, one branch; 5.10 before
+        (CombinerSpec.full_idft(), 5.25),  # window side; 7.54 before
+        (CombinerSpec.reduced_idft(), 5.25),  # auto (8, 16): branch side, 4 branches; 7.47
+        (CombinerSpec.reduced_idft(4, 1), 6.25),  # window side with a sub-array kernel; 8.54
+        (CombinerSpec.reduced_idft(2, 4), 6.75),  # branch side, 16 branches; 8.93
+    ],
+)
+def test_receive_peak_memory_in_frames(combiner, bound):
+    """Allocation guard: the traced peak of one clean and noisy OFDM receive
+    (N = 32, 45 deg, BW 0.2, M = 64, 20 symbols, q = 8; L = 10752 on both
+    sides), in frames of L complex samples. Each run owns a few frame-length
+    buffers (the frame, its spectrum, one branch stream or the window
+    side's doubled kernel) and reuses them; the comments give the peak
+    when every step allocated afresh. Measured 3.25, 4.96, 4.87, 5.96 and
+    6.33 frames; a step that allocates a frame-length temporary again
+    breaks its bound."""
+    cfg, spec, ofdm = ArrayConfig(32, 45 * DEG), SignalSpec(0.2, oversample=8, seed=5), OfdmSpec(64, 20)
+    sizing = combiner.resolve_sizing(cfg, ofdm, 0.2)
+    length = _ofdm_length(spec, ofdm, _ofdm_guard(cfg, spec), window_side(cfg, spec, ofdm, *sizing))
+    assert length == 10752
+    _ofdm_receive(cfg, spec, ofdm, 20.0, combiner)  # FFT plans and caches warm
+    peak = traced_peak(_ofdm_receive, cfg, spec, ofdm, 20.0, combiner)
+    assert peak / (16 * length) <= bound

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ofdm_frame
+from oracles import cp_frame, ofdm_frame, sc_folded_response
 from squintsim import (
     ArrayConfig,
     CombinerSpec,
@@ -92,6 +92,45 @@ class TestOfdmModulation:
             ofdm_demodulate(ComplexSignal(frame.samples[:-1]), ofdm)
         with pytest.raises(DimensionMismatch):
             ofdm_demodulate(ComplexSignal(frame.samples[:0]), ofdm)
+
+
+def bits(a: np.ndarray) -> bytes:
+    return a.dtype.str.encode() + str(a.shape).encode() + np.ascontiguousarray(a).tobytes()
+
+
+@settings(max_examples=40)
+@given(st.integers(2, 40), st.integers(1, 39), st.integers(1, 8), st.integers(1, 6))
+@example(2, 1, 1, 1)  # the smallest grid: M = 2, CP 1, critical sampling
+@example(128, 2, 8, 60)  # the ofdm_combiners frame
+def test_modulation_matches_allocating_oracle_property(m, cp, q, n_sym):
+    """Modulating in place (tones into each symbol's core slot, one batched
+    in-place inverse FFT, the prefix copied from the core) gives the frame
+    of a zero spectrum grid, its inverse FFT and a concatenation bit for
+    bit."""
+    ofdm = OfdmSpec(m, n_ofdm_symbols=n_sym, cp_ratio_num=min(cp, m - 1))
+    grid = random_grid(np.random.default_rng(m * q + n_sym), n_sym, m)
+    assert bits(ofdm_modulate(grid, ofdm, q).samples) == bits(cp_frame(grid, ofdm, q))
+
+
+@settings(max_examples=30)
+@given(
+    st.integers(1, 40),
+    st.floats(-89.0, 89.0),
+    st.floats(0.01, 0.99),
+    st.integers(4, 8),
+    st.integers(1, 300),
+)
+@example(32, 30.0, 0.1, 8, 10_000)  # the sc_link frame: L = 80640
+@example(33, -60.0, 0.2, 5, 301)  # odd os
+@example(16, 0.0, 0.3, 7, 40)  # broadside: the kernel is N everywhere
+def test_folded_response_matches_allocating_oracle_property(n, theta, bw, os, n_sym):
+    """The fold summed from half-spectrum views, with the taps written
+    straight into their rolled positions, is bit for bit the fold of the
+    full even extension (even and odd L, os 4 to 8)."""
+    cfg = ArrayConfig(n, theta * DEG)
+    spec = SignalSpec(bw, n_symbols=n_sym, oversample=os, seed=0)
+    length = os * len(_sc_transmit(spec, cfg)[0])
+    assert bits(_sc_folded_response(length, cfg, spec)) == bits(sc_folded_response(length, cfg, spec))
 
 
 class TestSingleCarrier:
