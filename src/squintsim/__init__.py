@@ -27,7 +27,6 @@ from .analytic import (
 )
 from .combine import (
     CombinerSpec,
-    IdftWeights,
     full_idft_weights,
     reduced_idft_weights,
 )

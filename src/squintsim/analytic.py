@@ -175,14 +175,6 @@ def space_factor(cfg: ArrayConfig, theta: float, f_ratio: float) -> float:
     return _magnitude(cfg.n_elements, _offset(cfg, theta, f_ratio))
 
 
-def _space_factor_direct(cfg: ArrayConfig, theta: float, f_ratio: float) -> float:
-    # direct phasor sum; kept separate as the second route for the
-    # numeric coherent-bandwidth solver
-    n = np.arange(cfg.n_elements)
-    u = _offset(cfg, theta, f_ratio)
-    return abs(np.sum(np.exp(2j * np.pi * n * u))) / cfg.n_elements
-
-
 def space_factor_at_steer(cfg: ArrayConfig, f_ratio: float) -> float:
     """Array response at the steering direction itself.
 
@@ -208,35 +200,18 @@ def _require_steer(cfg: ArrayConfig):
         raise DegenerateSteer("quantity is unbounded at broadside steering")
 
 
-def coherent_bandwidth(cfg: ArrayConfig, mode: str = "approx") -> float:
+def coherent_bandwidth(cfg: ArrayConfig) -> float:
     """Fractional 3 dB bandwidth of the array response at the steer angle.
 
-    ``approx`` evaluates the large-array sinc-limit expression
-    1.77 / (N sin(theta0)) for half-wavelength spacing (scaled for other
-    spacings). ``numeric`` bisects the direct phasor sum for the half-power
-    crossing. The two agree within 5 percent for N >= 8.
+    The large-array sinc-limit expression 1.77 / (N sin(theta0)) for
+    half-wavelength spacing (scaled for other spacings). It agrees within
+    5 percent with the half-power crossing of the direct phasor sum for
+    N >= 8, which the tests bisect as its reference.
     """
     _require_steer(cfg)
-    if mode == "approx":
-        return SINC_3DB_FACTOR / (
-            2.0 * cfg.n_elements * cfg.spacing_ratio * abs(cfg.sin_steer)
-        )
-    if mode != "numeric":
-        raise ValueError("mode must be 'approx' or 'numeric'")
-    if cfg.n_elements < 2:
-        raise ValueError("numeric mode needs at least 2 elements")
-    # |SF| falls monotonically from 1 to 0 across the main lobe,
-    # whose edge (first null) sits at this fractional offset:
-    x_null = 1.0 / (cfg.n_elements * cfg.spacing_ratio * abs(cfg.sin_steer))
-    target = 1.0 / np.sqrt(2.0)
-    lo, hi = 0.0, x_null
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _space_factor_direct(cfg, cfg.steer_angle, 1.0 + mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return lo + hi  # bandwidth is twice the one-sided offset
+    return SINC_3DB_FACTOR / (
+        2.0 * cfg.n_elements * cfg.spacing_ratio * abs(cfg.sin_steer)
+    )
 
 
 def null_fractions(cfg: ArrayConfig) -> tuple[float, float]:
@@ -302,7 +277,7 @@ def ofdm_tone_bounds(cfg: ArrayConfig, m_carriers: int, bw_sig: float) -> ToneBo
         i = int(round(x))
         return i if 0 <= i < m_carriers else None
 
-    m_3db = m_carriers * coherent_bandwidth(cfg, "approx") / bw_sig
+    m_3db = m_carriers * coherent_bandwidth(cfg) / bw_sig
     return ToneBounds(null_low, null_high, tone_index(null_low), tone_index(null_high), m_3db)
 
 
@@ -385,7 +360,7 @@ def report(cfg: ArrayConfig, bw_sig: float, m_carriers: int | None = None) -> An
     if not degenerate and cfg.n_elements > 1:
         nulls = null_fractions(cfg)
     return AnalyticReport(
-        coherent_bw=None if degenerate else coherent_bandwidth(cfg, "approx"),
+        coherent_bw=None if degenerate else coherent_bandwidth(cfg),
         null_fractions=nulls,
         isi_bw_limit=None if degenerate else isi_bandwidth_limit(cfg),
         max_delay_spread=max_delay_spread(cfg),

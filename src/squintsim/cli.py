@@ -23,8 +23,11 @@ the config is built, before any cell runs; only what depends on a cell's
 (N, theta, BW) fails per cell.
 
 Exit codes: 0 success; 2 configuration error, a bad value from a flag, a
-file or the environment (``SQUINTSIM_WORKERS``); 3 runtime failure, a
-failed report write included. All outputs are deterministic for a fixed
+file or the environment (``SQUINTSIM_WORKERS``), a non-positive ``n_sub``
+or ``m_group`` and an ``m_group`` that does not divide ``carriers``
+included; 3 runtime failure, a failed report write included, and for
+``simulate`` an ``n_sub`` that does not divide N (in a sweep only the cells
+whose N it does not divide fail). All outputs are deterministic for a fixed
 seed, whatever the output path (wall time goes to stderr, never into the
 report files).
 """
@@ -131,7 +134,7 @@ def _run_point(cfg: ExperimentConfig) -> SimReport:
     if cfg.ofdm is not None:
         report = run_ofdm(cfg.array, cfg.signal, cfg.ofdm, cfg["snr_db"], cfg.combiner)
     else:
-        report = run_single_carrier(cfg.array, cfg.signal, cfg["snr_db"], cfg.combiner)
+        report = run_single_carrier(cfg.array, cfg.signal, cfg["snr_db"])
     report.config = cfg.echo()
     return report
 

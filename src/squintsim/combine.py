@@ -10,10 +10,14 @@ ripple for an IDFT matrix shrunk to M_r x N_r.
 
 All three are one kernel: the phase-shifter sum is the reduced IDFT at
 sizing (N, M) and the full IDFT is sizing (1, 1), which
-:meth:`CombinerSpec.resolve_sizing` returns. The OFDM chain applies that
-kernel in the tone domain (:func:`combine_branch_grids`) to the demodulated
-branch streams; the DFT is linear, so this equals combining the element
-streams in the time domain, which the tests keep as the reference.
+:meth:`CombinerSpec.resolve_sizing` returns. Its weights are one formula,
+:func:`reduced_idft_weights`, returned as a plain complex array of M_r rows
+by N_r columns (:func:`full_idft_weights` is that formula at sizing
+(1, 1)); every weight is ``exp(j 2 pi x)`` of a real x, so it has unit
+modulus by construction. The OFDM chain applies that kernel in the tone
+domain (:func:`combine_branch_grids`) to the demodulated branch streams;
+the DFT is linear, so this equals combining the element streams in the
+time domain, which the tests keep as the reference.
 
 With one tone per group (m_group = 1: the full IDFT and any ``(n_sub, 1)``
 sizing) the weights of tone k are the conjugate delays of the branches at
@@ -51,7 +55,9 @@ class CombinerSpec:
 
     For the reduced IDFT, ``n_sub`` (elements per pre-combined sub-array)
     and ``m_group`` (tones per IDFT output) may be left None to take the
-    automatic sizing from :func:`squintsim.analytic.reduced_sizing`.
+    automatic sizing from :func:`squintsim.analytic.reduced_sizing`; a size
+    that is set must be positive. Whether it divides N or M is checked
+    where the array and the tones are known.
     """
 
     kind: str = PHASE_SUM
@@ -61,8 +67,12 @@ class CombinerSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}")
-        if self.kind != REDUCED_IDFT and (self.n_sub or self.m_group):
+        sizes = {"n_sub": self.n_sub, "m_group": self.m_group}
+        if self.kind != REDUCED_IDFT and any(v is not None for v in sizes.values()):
             raise ValueError("sub-array sizing only applies to the reduced IDFT")
+        for name, value in sizes.items():
+            if value is not None and value < 1:
+                raise ValueError(f"{name} = {value} must be positive")
 
     @classmethod
     def phase_shifter_sum(cls) -> "CombinerSpec":
@@ -92,37 +102,15 @@ class CombinerSpec:
         return n_sub, m_group
 
 
-@dataclass(eq=False)
-class IdftWeights:
-    """Unit-modulus combining weights, one row per output stream.
-
-    ``matrix[r, n]`` weights element (or sub-array) n for output r.
-    """
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if not np.allclose(np.abs(self.matrix), 1.0, atol=1e-12):
-            raise ValueError("combining weights must have unit modulus")
-
-
-def _tone_phase_step(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec) -> float:
-    # per-element, per-tone-offset phase in turns: delay times subcarrier spacing
-    return cfg.delay_per_element_cycles * spec.fractional_bandwidth / ofdm.m_carriers
-
-
-def full_idft_weights(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec) -> IdftWeights:
-    """Weight matrix of the full combiner, M rows by N columns."""
-    step = _tone_phase_step(cfg, spec, ofdm)
-    offsets = np.arange(ofdm.m_carriers) - ofdm.center_tone
-    n = np.arange(cfg.n_elements)
-    matrix = np.exp(2j * np.pi * step * np.outer(offsets, n))
-    return IdftWeights(matrix)
+def full_idft_weights(cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec) -> np.ndarray:
+    """Weight matrix of the full combiner, M rows by N columns: the reduced
+    combiner's at sizing (1, 1)."""
+    return reduced_idft_weights(cfg, spec, ofdm, 1, 1)
 
 
 def reduced_idft_weights(
     cfg: ArrayConfig, spec: SignalSpec, ofdm: OfdmSpec, n_sub: int, m_group: int
-) -> IdftWeights:
+) -> np.ndarray:
     """Weight matrix of the reduced combiner, M_r rows by N_r columns.
 
     Row g corrects for the midpoint tone of group g (tones
@@ -131,11 +119,11 @@ def reduced_idft_weights(
     _check_divisible(cfg, ofdm, n_sub, m_group)
     m_r = ofdm.m_carriers // m_group
     n_r = cfg.n_elements // n_sub
-    step = _tone_phase_step(cfg, spec, ofdm)
+    # per-element, per-tone-offset phase in turns: delay times subcarrier spacing
+    step = cfg.delay_per_element_cycles * spec.fractional_bandwidth / ofdm.m_carriers
     centers = np.arange(m_r) * m_group + (m_group - 1) / 2.0 - ofdm.center_tone
     strides = np.arange(n_r) * n_sub
-    matrix = np.exp(2j * np.pi * step * np.outer(centers, strides))
-    return IdftWeights(matrix)
+    return np.exp(2j * np.pi * step * np.outer(centers, strides))
 
 
 def _check_divisible(cfg: ArrayConfig, ofdm: OfdmSpec, n_sub: int, m_group: int):
@@ -146,7 +134,7 @@ def _check_divisible(cfg: ArrayConfig, ofdm: OfdmSpec, n_sub: int, m_group: int)
 
 
 def combine_branch_grids(
-    branch_grids: np.ndarray, weights: IdftWeights, n_elements: int
+    branch_grids: np.ndarray, weights: np.ndarray, n_elements: int
 ) -> np.ndarray:
     """The reduced combiner applied in the tone domain.
 
@@ -157,8 +145,8 @@ def combine_branch_grids(
     the element count like the time-domain combiners.
     """
     n_r, n_sym, m = branch_grids.shape
-    m_r = weights.matrix.shape[0]
+    m_r = weights.shape[0]
     groups = branch_grids.reshape(n_r, n_sym, m_r, m // m_r)
-    out = np.einsum("gr,rjgk->jgk", weights.matrix, groups)
+    out = np.einsum("gr,rjgk->jgk", weights, groups)
     return out.reshape(n_sym, m) / n_elements
 

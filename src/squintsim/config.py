@@ -9,9 +9,11 @@ Validation happens in one place. :class:`ExperimentConfig` runs every
 value through its key's parser in ``_SCHEMA``, whether it comes as text
 (a config file, a flag) or already parsed (a config built in code, a
 sweep cell), and then builds the run's array, signal, OFDM and combiner
-specs, so a config that constructs can run. What is left to fail later
-depends on the (N, theta, BW) point itself, such as a sizing that does
-not divide the array.
+specs, so a config that constructs can run. That includes the combiner
+sizing: ``n_sub`` and ``m_group`` must be positive, and ``m_group`` must
+divide ``carriers``, since the tone count is no sweep axis. What is left to
+fail later depends on the (N, theta, BW) point itself, such as an
+``n_sub`` that does not divide the array.
 """
 
 from __future__ import annotations
@@ -160,6 +162,12 @@ class ExperimentConfig:
                 CombinerSpec.reduced_idft(v["n_sub"], v["m_group"])
                 if v["combiner"] == REDUCED_IDFT else CombinerSpec(v["combiner"])
             )
+            # M is no sweep axis, so a tone group that does not divide it
+            # would fail every cell alike
+            if self.combiner.m_group and v["carriers"] % self.combiner.m_group:
+                raise ValueError(
+                    f"m_group = {self.combiner.m_group} must divide carriers = {v['carriers']}"
+                )
         except (ValueError, InvalidOrder) as exc:
             raise ConfigError(str(exc)) from None
 

@@ -49,10 +49,6 @@ class InsufficientGuard(SquintSimError):
     """Signal lacks the zero padding needed for circular delays."""
 
 
-class CombinerRequiresOfdm(SquintSimError):
-    """IDFT combiners only apply to the OFDM chain."""
-
-
 class DimensionMismatch(SquintSimError):
     """Grid dimensions do not match the OFDM configuration."""
 

@@ -58,15 +58,18 @@ Buffers: a run writes only into arrays it made, and keeps none of them
 after it returns (no cache or workspace lives between runs). The
 transmitter modulates straight into the zeroed, padded frame
 (:func:`_modulate_into`, which :func:`ofdm_modulate` shares). The branch
-side owns the frame spectrum; each branch stream is formed in the one
-buffer that :func:`squintsim.wavefront.branch_responses` yields (for a
-single branch, in the spectrum itself), and it and its DFT windows are
-transformed in place and demodulated into that branch's row of the branch
-grids. The window side owns the spectrum (filtered and inverse transformed
-in place when n_sub > 1), one doubled kernel reversal and one buffer for
-the imaginary, then the real part of the frame. No function writes into an
-array its caller passed in: the chain only reads the frame, and
-:func:`ofdm_demodulate` transforms a copy of its signal.
+side owns the frame spectrum and hands it to
+:func:`squintsim.wavefront.branch_responses`, the one route to every
+branch stream: a single branch is filtered in the spectrum itself, more
+branches each in the one buffer the generator reuses. Each stream and its
+DFT windows are transformed in place and demodulated into that branch's
+row of the branch grids. The window side owns the spectrum (filtered and
+inverse transformed in place when n_sub > 1), one doubled kernel reversal
+and one buffer for the imaginary, then the real part of the frame. No
+public function writes into an array its caller passed in, except that
+``branch_responses`` takes over the spectrum it is handed: the chain only
+reads the frame, and :func:`ofdm_demodulate` transforms a copy of its
+signal.
 
 Runs are pure functions of (configs, seed); sweep points may execute
 concurrently when every point derives its own seed.
@@ -81,13 +84,7 @@ import numpy as np
 
 from . import analytic
 from .analytic import AnalyticReport, ArrayConfig, _dirichlet
-from .combine import (
-    PHASE_SUM,
-    CombinerSpec,
-    _check_divisible,
-    combine_branch_grids,
-    reduced_idft_weights,
-)
+from .combine import CombinerSpec, _check_divisible, combine_branch_grids, reduced_idft_weights
 from .dsp import (
     ComplexSignal,
     SignalSpec,
@@ -98,10 +95,10 @@ from .dsp import (
     rrc_taps,
     _evm_fit,
 )
-from .errors import CombinerRequiresOfdm, DimensionMismatch
+from .errors import DimensionMismatch
 from .ofdm_spec import OfdmSpec
-from .wavefront import (_check_guard, _delay_spread, _times_even, array_kernel,
-                        branch_responses, element_delay_samples)
+from .wavefront import (_delay_spread, _times_even, array_kernel, branch_responses,
+                        element_delay_samples)
 
 # not called here: bound because squintbench/tracer.py wraps these names on this module
 from .combine import full_idft_weights  # noqa: F401
@@ -160,6 +157,7 @@ def ofdm_modulate(grid: np.ndarray, ofdm: OfdmSpec, oversample: int = 1) -> Comp
     grid and frame carry equal energy. ``oversample`` multiplies the
     critical sampling rate (the returned ``sample_rate`` equals it).
     """
+    _check_oversample(oversample)
     grid = np.asarray(grid, dtype=np.complex128)
     if grid.ndim != 2 or grid.shape[1] != ofdm.m_carriers:
         raise DimensionMismatch(
@@ -169,6 +167,11 @@ def ofdm_modulate(grid: np.ndarray, ofdm: OfdmSpec, oversample: int = 1) -> Comp
     frame = np.zeros(grid.shape[0] * step, dtype=np.complex128)
     return ComplexSignal(_modulate_into(frame, grid, ofdm, oversample),
                          sample_rate=float(oversample))
+
+
+def _check_oversample(oversample: int) -> None:
+    if oversample < 1:
+        raise ValueError("oversample must be at least 1")
 
 
 def _modulate_into(frame: np.ndarray, grid: np.ndarray, ofdm: OfdmSpec,
@@ -199,6 +202,7 @@ def ofdm_demodulate(signal: ComplexSignal, ofdm: OfdmSpec, oversample: int = 1) 
     window side takes each tone's window DFT at the same starts inside the
     closed form of :func:`_window_combine` (see :func:`_ofdm_receive`).
     """
+    _check_oversample(oversample)
     x = signal.samples
     block = (ofdm.m_carriers + ofdm.cp_ratio_num) * oversample
     if len(x) % block or not len(x):
@@ -362,12 +366,7 @@ def _sc_receive(cfg: ArrayConfig, spec: SignalSpec, snr_db: float):
     return symbols, rx_clean, _add_receiver_noise(rx_clean, cfg, spec, snr_db)
 
 
-def run_single_carrier(
-    cfg: ArrayConfig,
-    spec: SignalSpec,
-    snr_db: float,
-    combiner: CombinerSpec = CombinerSpec.phase_shifter_sum(),
-) -> SimReport:
+def run_single_carrier(cfg: ArrayConfig, spec: SignalSpec, snr_db: float) -> SimReport:
     """Simulate the single-carrier link of an N-element phased receiver.
 
     Chain: QAM mapping, root-raised-cosine shaping, plane-wave reception
@@ -375,10 +374,9 @@ def run_single_carrier(
     the sum over elements, matched filtering and symbol sampling (one
     filter of shaping, array response and matched filter, run at the
     symbol rate), receiver noise per output symbol, then EVM against the
-    transmitted symbols.
+    transmitted symbols. Its one combiner is the phase-shifter sum: the
+    IDFT combiners serve OFDM tones.
     """
-    if combiner.kind != PHASE_SUM:
-        raise CombinerRequiresOfdm("IDFT combining requires the OFDM chain")
     _check_snr(snr_db)
     ssir_db, evm_db, constellation = _score(*_sc_receive(cfg, spec, snr_db), snr_db)
     return SimReport(
@@ -451,23 +449,16 @@ def _branch_combine(x: np.ndarray, guard: int, cfg: ArrayConfig, spec: SignalSpe
 
     The run owns two frame-length work buffers: the frame spectrum and one
     branch stream, the buffer that :func:`branch_responses` yields each
-    response in (for a single branch, the spectrum itself: its real kernel
-    is applied in place through half-spectrum views). Each branch stream is
-    transformed in place, its DFT windows too, and demodulated straight
-    into its row of the branch grids. ``x`` is only read.
+    filtered spectrum in (for a single branch, the spectrum itself). Each
+    branch stream is transformed in place, its DFT windows too, and
+    demodulated straight into its row of the branch grids. ``x`` is only
+    read.
     """
     weights = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
     q, shape = spec.oversample, (ofdm.n_ofdm_symbols, ofdm.m_carriers)
     starts = _window_starts(ofdm, q, guard, shape[0])
-    n_r = cfg.n_elements // n_sub
-    grids = np.empty((n_r,) + shape, dtype=np.complex128)
-    spectrum = np.fft.fft(x)
-    if n_r == 1:
-        _check_guard(x, _delay_spread(cfg, spec, q))
-        streams = [_times_even(spectrum, array_kernel(len(x), cfg, spec, n_sub))]
-    else:
-        streams = (np.multiply(spectrum, response, out=response)
-                   for response in branch_responses(x, cfg, spec, n_sub))
+    grids = np.empty((cfg.n_elements // n_sub,) + shape, dtype=np.complex128)
+    streams = branch_responses(x, np.fft.fft(x), cfg, spec, n_sub)
     for r, stream in enumerate(streams):
         np.fft.ifft(stream, out=stream)
         _demodulate(stream, starts, ofdm, q, grids[r])

@@ -1,13 +1,17 @@
 """The array propagation channel.
 
 Between the transmitter and the combiner the array is a linear,
-time-invariant filter bank. :func:`branch_responses` is what the link
-chains use: it collapses plane-wave propagation, phase-shifter alignment
-and centroid timing sync into one frequency response per combiner branch
-(a contiguous sub-array), in closed form: a real Dirichlet kernel of the
-sub-array size times the pure delay of the sub-array centre. The chains
-apply those responses to the spectrum of their frame themselves, so
-nothing here transforms a signal on the chains' path.
+time-invariant filter bank. Plane-wave propagation, phase-shifter
+alignment and centroid timing sync collapse into one frequency response
+per combiner branch (a contiguous sub-array), in closed form: a real
+Dirichlet kernel of the sub-array size times the pure delay of the
+sub-array centre. :func:`branch_responses` is the one generator of the
+branch spectra the OFDM chain combines: it takes the spectrum of the
+frame from its caller and yields it filtered by each branch response in
+turn, so nothing here transforms a signal on the chains' path. A single
+branch (the whole array) takes one route, the real kernel of
+:func:`array_kernel` applied in place, which is also the whole array's
+response in the single-carrier chain's folded filter.
 
 Delays are circular, so frames carry zero guards by one rule: the
 frame builders of :mod:`squintsim.txrx` size them from :func:`_delay_spread`,
@@ -132,17 +136,11 @@ def _check_guard(x: np.ndarray, spread: float) -> None:
         raise InsufficientGuard(f"leading and trailing {need} samples must be zero guards")
 
 
-def _even_extension(half: np.ndarray, length: int) -> np.ndarray:
-    """The even sequence ``full[k] = half[min(k, length - k)]`` of
-    ``length`` bins from its non-negative bins ``0 .. length // 2``."""
-    return np.concatenate([half, half[1:(length + 1) // 2][::-1]])
-
-
 def _times_even(spectrum: np.ndarray, half: np.ndarray) -> np.ndarray:
-    """``spectrum`` times the even extension of ``half``, in place: the
-    bins ``0 .. L // 2`` by ``half``, the rest by its reversed view, with
-    no full-length kernel. Bit-identical to ``spectrum *= _even_extension(
-    half, L)``."""
+    """``spectrum`` times the even sequence ``full[k] = half[min(k, L - k)]``
+    of its ``L`` bins, in place: the bins ``0 .. L // 2`` by ``half``, the
+    rest by its reversed view, with no full-length kernel. Each bin takes
+    the same product as with the full-length kernel, bit for bit."""
     length = len(spectrum)
     spectrum[:len(half)] *= half
     spectrum[len(half):] *= half[(length + 1) // 2 - 1:0:-1]
@@ -165,36 +163,39 @@ def array_kernel(length: int, cfg: ArrayConfig, spec: SignalSpec, n_sub: int) ->
 
 
 def branch_responses(
-    frame: np.ndarray, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
+    frame: np.ndarray, spectrum: np.ndarray, cfg: ArrayConfig, spec: SignalSpec, n_sub: int
 ) -> Iterator[np.ndarray]:
-    """Frequency response of each combiner branch on the FFT grid of
-    ``frame`` (``spec.oversample`` samples per symbol), one branch at a
-    time.
+    """The spectrum of each combiner branch's stream, one branch at a time:
+    ``spectrum``, the FFT of ``frame`` (``spec.oversample`` samples per
+    symbol), times the branch's frequency response.
 
     Branch r is the unnormalized sum of the ``n_sub`` contiguous elements
     ``[r * n_sub, (r + 1) * n_sub)`` after propagation, phase alignment and
-    centroid sync, so ``ifft(fft(frame) * H_r)`` equals the pre-summed
-    sub-array streams of the per-element stages. The carrier rotations of
-    propagation and alignment cancel exactly, leaving
+    centroid sync, so the inverse FFT of its yielded spectrum equals the
+    pre-summed sub-array stream of the per-element stages. The carrier
+    rotations of propagation and alignment cancel exactly, leaving
     ``H_r(f) = sum_{n in r} exp(-j 2 pi f (n dtau - tau_mean))``: in closed
     form the real Dirichlet kernel ``sin(pi n_sub x) / sin(pi x)`` of
     ``x = f dtau`` times the pure delay of the sub-array centre,
     ``(r - (n_r - 1) / 2) n_sub dtau`` after sync. A single branch
-    (``n_sub = N``: the phase-shifter sum and the whole single-carrier
-    array) is centred, so its response is the real kernel alone, yielded as
-    a fresh array; otherwise branches step by the recurrence ``z^n_sub``
-    with ``z = exp(-j 2 pi f dtau)``, two complex exponentials per frame
-    whatever the array size. Raises :class:`InsufficientGuard` like
-    :func:`propagate`.
+    (``n_sub = N``, the phase-shifter sum) is centred, so its response is
+    the real kernel of :func:`array_kernel` alone, applied to ``spectrum``
+    in place through half-spectrum views; otherwise branches step by the
+    recurrence ``z^n_sub`` with ``z = exp(-j 2 pi f dtau)``, two complex
+    exponentials per frame whatever the array size. Raises
+    :class:`InsufficientGuard` for ``frame`` like :func:`propagate`.
 
-    With more than one branch every response is written into one buffer
+    Buffers: a single branch is formed in ``spectrum`` itself, so pass a
+    spectrum that is no longer needed otherwise. With more than one branch
+    ``spectrum`` is only read, and every branch is written into one buffer
     that the generator rewrites in full on the next step: use each before
     taking the next (the caller may write into it meanwhile), and copy what
     must outlive the step.
 
-    Exactness: the kernel is the even extension of :func:`array_kernel`,
-    bit-identical to evaluating it on the full ``fftfreq`` grid, for even
-    and odd ``len(frame)``. Every impulse response is real, so every branch
+    Exactness: every yielded spectrum is bit for bit ``spectrum`` times the
+    response evaluated on the full ``fftfreq`` grid, for even and odd
+    ``len(frame)``. The single branch's kernel is the even extension of
+    :func:`array_kernel`. Every impulse response is real, so every branch
     response is conjugate-symmetric, and the recurrence runs on the
     non-negative bins of the ``rfft`` grid only: ``fftfreq`` gives bin
     ``L - k`` exactly ``-x_k`` (the even-L Nyquist bin too), every step is
@@ -206,10 +207,10 @@ def branch_responses(
     if n_sub < 1 or n_el % n_sub:
         raise IndivisibleSizing(f"n_sub = {n_sub} must divide N = {n_el}")
     _check_guard(frame, _delay_spread(cfg, spec, spec.oversample))
-    length = len(frame)
+    length = len(spectrum)
     n_r = n_el // n_sub
     if n_r == 1:
-        yield _even_extension(array_kernel(length, cfg, spec, n_sub), length)
+        yield _times_even(spectrum, array_kernel(length, cfg, spec, n_sub))
         return
     lower, stride = _first_branch(length, cfg, spec, n_sub)
     mirror = np.conjugate if element_delay_samples(cfg, spec, spec.oversample) else np.positive
@@ -221,7 +222,7 @@ def branch_responses(
     for _ in range(n_r):
         np.copyto(positive, lower[:len(positive)])
         mirror(lower[1:], out=negative)
-        yield response
+        yield np.multiply(spectrum, response, out=response)
         lower *= stride
 
 

@@ -3,8 +3,10 @@
 The link chains never call these. They are the time-domain combiners
 (which the tone-domain kernel ``combine_branch_grids`` must reproduce),
 the unitary DFT pair, the single-carrier link on its oversampled grid
-(which the symbol-rate chain must reproduce) and the branch responses on
-the full FFT grid (which the half-spectrum kernel must reproduce). The
+(which the symbol-rate chain must reproduce), the branch responses on
+the full FFT grid (which the half-spectrum kernel must reproduce) and the
+direct phasor sum with the half-power crossing bisected on it (which the
+closed-form space factor and coherent bandwidth must reproduce). The
 references take the chains' own frames: :func:`sc_impulses` upsamples the
 single-carrier frame, and :func:`ofdm_frame` builds the OFDM frame of
 either combining side by the chain's layout.
@@ -26,8 +28,7 @@ from squintsim.combine import full_idft_weights, reduced_idft_weights
 from squintsim.dsp import _as_samples, rrc_taps
 from squintsim.errors import IndivisibleSizing
 from squintsim.txrx import _ofdm_guard, _ofdm_length, _ofdm_transmit, _sc_transmit
-from squintsim.wavefront import (_dirichlet, _even_extension, array_kernel, branch_responses,
-                                 element_delay_samples)
+from squintsim.wavefront import _dirichlet, array_kernel, element_delay_samples
 
 
 def dft(signal: ComplexSignal) -> ComplexSignal:
@@ -58,7 +59,7 @@ def full_idft_combine(streams: ElementStreams, ofdm: OfdmSpec) -> list[ComplexSi
     plain phase-shifter sum.
     """
     w = full_idft_weights(streams.cfg, streams.spec, ofdm)
-    out = w.matrix @ streams.streams / streams.n_elements
+    out = w @ streams.streams / streams.n_elements
     return [ComplexSignal(row, sample_rate=streams.sample_rate) for row in out]
 
 
@@ -82,7 +83,7 @@ def reduced_idft_combine(
     """
     w = reduced_idft_weights(streams.cfg, streams.spec, ofdm, n_sub, m_group)
     branches = presum_subarrays(streams, n_sub)
-    out = w.matrix @ branches / streams.n_elements
+    out = w @ branches / streams.n_elements
     groups = [range(g * m_group, (g + 1) * m_group) for g in range(out.shape[0])]
     return (
         [ComplexSignal(row, sample_rate=streams.sample_rate) for row in out],
@@ -118,7 +119,7 @@ def sc_oversampled_clean(cfg, spec) -> np.ndarray:
     padded = np.zeros(len(tx))
     padded[:len(taps)] = taps
     rrc = np.fft.fft(np.roll(padded, -(len(taps) // 2)))
-    array = next(branch_responses(tx.samples, cfg, spec, cfg.n_elements))
+    array = full_grid_branch_responses(tx, cfg, spec, cfg.n_elements)[0]
     spectrum = np.fft.fft(tx.samples) * rrc**2 * array
     return np.fft.ifft(spectrum)[instants] / cfg.n_elements
 
@@ -179,5 +180,29 @@ def sc_folded_response(length: int, cfg, spec) -> np.ndarray:
     padded[:len(taps)] = taps
     rrc = np.fft.rfft(np.roll(padded, -(len(taps) // 2))).real
     half = rrc**2 * array_kernel(length, cfg, spec, cfg.n_elements)
-    full = _even_extension(half, length)
+    full = np.concatenate([half, half[1:(length + 1) // 2][::-1]])  # full[k] = half[min(k, L - k)]
     return full.reshape(os, -1).sum(axis=0) / (os * cfg.n_elements)
+
+
+def space_factor_direct(cfg, theta: float, f_ratio: float) -> float:
+    """Normalized array response magnitude as the direct N-term phasor sum."""
+    n = np.arange(cfg.n_elements)
+    u = cfg.spacing_ratio * (f_ratio * math.sin(theta) - cfg.sin_steer)  # turns per element
+    return abs(np.sum(np.exp(2j * np.pi * n * u))) / cfg.n_elements
+
+
+def coherent_bandwidth_numeric(cfg) -> float:
+    """Fractional 3 dB bandwidth at the steer angle, bisected on the direct
+    phasor sum: |SF| falls monotonically from 1 to 0 across the main lobe,
+    whose edge (first null) sits at the offset 1 / (N (d/lambda)
+    |sin(theta0)|). Needs N >= 2 and a steer off broadside."""
+    x_null = 1.0 / (cfg.n_elements * cfg.spacing_ratio * abs(cfg.sin_steer))
+    target = 1.0 / np.sqrt(2.0)
+    lo, hi = 0.0, x_null
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if space_factor_direct(cfg, cfg.steer_angle, 1.0 + mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return lo + hi  # bandwidth is twice the one-sided offset

@@ -1,7 +1,9 @@
 """Closed-form analysis tests.
 
 The independent oracle throughout is the direct N-term phasor sum,
-implemented here from scratch (not the package's internal copy).
+implemented here from scratch and in ``oracles``, which also bisects it
+for the half-power crossing that the closed-form coherent bandwidth
+approximates.
 """
 
 import math
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coherent_bandwidth_numeric, space_factor_direct
 from squintsim import (
     ArrayConfig,
     coherent_bandwidth,
@@ -26,7 +29,6 @@ from squintsim import (
 )
 from squintsim.analytic import (
     SINC_3DB_FACTOR,
-    _space_factor_direct,
     eirp_gain_db,
     report,
     rx_snr_gain_db,
@@ -116,7 +118,7 @@ def test_space_factor_matches_direct_sum_property(n, steer_deg, theta_deg, f_rat
     # sin(pi u) where the closed ratio loses precision
     cfg = ArrayConfig(n, steer_deg * DEG)
     closed = space_factor(cfg, theta_deg * DEG, f_ratio)
-    direct = _space_factor_direct(cfg, theta_deg * DEG, f_ratio)
+    direct = space_factor_direct(cfg, theta_deg * DEG, f_ratio)
     assert closed == pytest.approx(direct, abs=1e-10)
 
 
@@ -155,13 +157,13 @@ class TestCoherentBandwidth:
             for theta in (10, 30, 45, 60, 90):
                 theta = min(theta, 89.9)
                 cfg = ArrayConfig(n, theta * DEG)
-                approx = coherent_bandwidth(cfg, "approx")
-                numeric = coherent_bandwidth(cfg, "numeric")
+                approx = coherent_bandwidth(cfg)
+                numeric = coherent_bandwidth_numeric(cfg)
                 assert abs(approx - numeric) / numeric < 0.05
 
     def test_numeric_is_true_half_power_point(self):
         cfg = ArrayConfig(16, 30 * DEG)
-        bw = coherent_bandwidth(cfg, "numeric")
+        bw = coherent_bandwidth_numeric(cfg)
         assert direct_sum(cfg, cfg.steer_angle, 1 + bw / 2) == pytest.approx(
             1 / np.sqrt(2), abs=1e-9
         )
@@ -169,8 +171,6 @@ class TestCoherentBandwidth:
     def test_broadside_rejected(self):
         with pytest.raises(DegenerateSteer):
             coherent_bandwidth(ArrayConfig(16, 0.0))
-        with pytest.raises(DegenerateSteer):
-            coherent_bandwidth(ArrayConfig(16, 0.0), "numeric")
 
 
 class TestNullsAndIsiLimit:

@@ -63,9 +63,8 @@ DEG = np.pi / 180.0
 
 
 def branch_streams(tx, cfg, spec, n_sub):
-    spectrum = np.fft.fft(tx.samples)
-    for response in branch_responses(tx.samples, cfg, spec, n_sub):
-        yield np.fft.ifft(spectrum * response)
+    for filtered in branch_responses(tx.samples, np.fft.fft(tx.samples), cfg, spec, n_sub):
+        yield np.fft.ifft(filtered)
 
 
 def window_side(cfg, spec, ofdm, n_sub, m_group):
@@ -198,8 +197,9 @@ def divisor_sizing(n: int):
 @example((33, 11), -75.0, 0.95, 999)  # odd L, odd N
 def test_array_kernel_is_the_full_grid_kernel_property(sizing, theta, bw, length):
     """The half-spectrum kernel is bit for bit the full-grid kernel on bins
-    0 .. L // 2, and the branch responses built from it are bit-identical
-    to those built on the full grid, for even and odd L."""
+    0 .. L // 2, and the branch spectra built from it are bit-identical to
+    a random spectrum times the responses built on the full grid, for even
+    and odd L."""
     n, n_sub = sizing
     cfg = ArrayConfig(n, theta * DEG)
     spec = SignalSpec(bw, oversample=4)
@@ -207,8 +207,11 @@ def test_array_kernel_is_the_full_grid_kernel_property(sizing, theta, bw, length
     x = np.fft.fftfreq(length) * element_delay_samples(cfg, spec, 4.0)
     half = array_kernel(length, cfg, spec, n_sub)
     assert bits(half) == bits(_dirichlet(x, n_sub)[:length // 2 + 1])
-    got = [response.copy() for response in branch_responses(tx.samples, cfg, spec, n_sub)]
-    want = full_grid_branch_responses(tx, cfg, spec, n_sub)
+    rng = np.random.default_rng(length)
+    spectrum = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+    got = [filtered.copy() for filtered in
+           branch_responses(tx.samples, spectrum.copy(), cfg, spec, n_sub)]
+    want = [spectrum * response for response in full_grid_branch_responses(tx, cfg, spec, n_sub)]
     assert len(got) == len(want) == n // n_sub
     assert all(bits(a) == bits(b) for a, b in zip(got, want))
 

@@ -307,6 +307,23 @@ class TestSimulate:
         assert "modulation_order" in capsys.readouterr().err
         assert not list(tmp_path.glob("sim*"))
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize(
+        "sizing", ["n_sub = 0", "n_sub = -2", "m_group = 0", "m_group = -1", "m_group = 3"]
+    )
+    def test_bad_combiner_sizing_is_config_error(self, tmp_path, capsys, command, sizing):
+        # a size no cell could run with fails when the config is built, before
+        # any cell runs; an n_sub that does not divide a swept N fails per cell
+        # (TestSweep.test_failed_cells_go_to_errors_sidecar)
+        cfgfile = tmp_path / "c.cfg"
+        cfgfile.write_text(
+            f"carriers = 16\nn_ofdm_symbols = 4\ncombiner = reduced\n{sizing}\nsweep_n = 8,16\n"
+        )
+        args = [command, "--config", str(cfgfile), "--out", str(tmp_path / "sim")]
+        assert run_cli(args) == EXIT_CONFIG
+        assert sizing.split()[0] in capsys.readouterr().err
+        assert not list(tmp_path.glob("sim*"))
+
     def test_unwritable_out_is_runtime_error(self, tmp_path, capsys):
         args = self._args(tmp_path, out=tmp_path / "missing" / "sim")
         assert run_cli(args) == EXIT_RUNTIME

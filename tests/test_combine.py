@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import full_idft_combine, phase_sum, presum_subarrays, reduced_idft_combine
 from squintsim import (
     ArrayConfig,
     ComplexSignal,
     CombinerSpec,
-    IdftWeights,
     OfdmSpec,
     SignalSpec,
     full_idft_weights,
@@ -77,13 +78,13 @@ class TestFullIdft:
         spec = SignalSpec(0.2, seed=0)
         ofdm = OfdmSpec(16)
         w = full_idft_weights(cfg, spec, ofdm)
-        assert w.matrix.shape == (16, 8)
-        assert np.allclose(np.abs(w.matrix), 1.0)
+        assert w.shape == (16, 8)
+        assert np.allclose(np.abs(w), 1.0)
         step = 0.5 * np.sin(30 * DEG) * 0.2 / 16
         for m in (0, 5, 8, 15):
             for n in (0, 3, 7):
                 expected = np.exp(2j * np.pi * n * step * (m - 8))
-                assert w.matrix[m, n] == pytest.approx(expected, abs=1e-12)
+                assert w[m, n] == pytest.approx(expected, abs=1e-12)
 
     def test_center_row_equals_phase_sum(self):
         streams, _ = make_streams(8, 30.0, 0.2)
@@ -138,23 +139,18 @@ class TestReducedIdft:
             assert groups[m] == range(m, m + 1)
             assert np.allclose(outs[m].samples, full[m].samples, atol=1e-12)
 
-    def test_weights_reject_non_unit_modulus(self):
-        # a real check, not an assert, so it also holds under python -O
-        with pytest.raises(ValueError, match="unit modulus"):
-            IdftWeights(np.array([[1.0, 0.5]]))
-
     def test_group_weights_use_stride_and_midpoint(self):
         cfg = ArrayConfig(16, 30 * DEG)
         spec = SignalSpec(0.2, seed=0)
         ofdm = OfdmSpec(32)
         w = reduced_idft_weights(cfg, spec, ofdm, n_sub=4, m_group=8)
-        assert w.matrix.shape == (4, 4)
+        assert w.shape == (4, 4)
         step = 0.5 * np.sin(30 * DEG) * 0.2 / 32
         for g in range(4):
             centre = g * 8 + 3.5 - 16
             for r in range(4):
                 expected = np.exp(2j * np.pi * (r * 4) * step * centre)
-                assert w.matrix[g, r] == pytest.approx(expected, abs=1e-12)
+                assert w[g, r] == pytest.approx(expected, abs=1e-12)
 
     def test_presum_blocks(self):
         streams, _ = make_streams(8, 10.0, 0.1, seed=4)
@@ -186,12 +182,41 @@ class TestReducedIdft:
             reduced_idft_combine(streams, ofdm, n_sub=4, m_group=5)
 
 
+def divisor_sizing(n: int):
+    return st.tuples(st.just(n), st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+
+
+@settings(max_examples=60)
+@given(
+    st.sampled_from([1, 2, 6, 12, 16, 33, 64]).flatmap(divisor_sizing),
+    st.sampled_from([2, 7, 16, 63, 128]).flatmap(divisor_sizing),
+    st.floats(-89.0, 89.0),
+    st.floats(0.01, 0.99),
+)
+def test_weights_shape_and_unit_modulus_property(array, tones, theta, bw):
+    """For every divisor sizing the weights are M / m_group rows by
+    N / n_sub columns of unit modulus, and the full IDFT's are the reduced
+    combiner's at sizing (1, 1)."""
+    (n, n_sub), (m, m_group) = array, tones
+    cfg = ArrayConfig(n, theta * DEG)
+    spec = SignalSpec(bw, seed=0)
+    ofdm = OfdmSpec(m, cp_ratio_num=1)
+    w = reduced_idft_weights(cfg, spec, ofdm, n_sub, m_group)
+    assert w.shape == (m // m_group, n // n_sub)
+    assert np.max(np.abs(np.abs(w) - 1.0)) < 1e-12
+    assert np.array_equal(full_idft_weights(cfg, spec, ofdm),
+                          reduced_idft_weights(cfg, spec, ofdm, 1, 1))
+
+
 class TestCombinerSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             CombinerSpec("bogus")
         with pytest.raises(ValueError):
             CombinerSpec("idft", n_sub=4)
+        for sizing in ({"n_sub": 0}, {"n_sub": -2}, {"m_group": 0}, {"m_group": -1}):
+            with pytest.raises(ValueError, match="must be positive"):
+                CombinerSpec.reduced_idft(**sizing)
 
     def test_auto_sizing_resolution(self):
         cfg = ArrayConfig(64, 30 * DEG)

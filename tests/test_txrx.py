@@ -18,7 +18,7 @@ from squintsim import (
     run_ofdm,
     run_single_carrier,
 )
-from squintsim.errors import CombinerRequiresOfdm, DimensionMismatch
+from squintsim.errors import DimensionMismatch
 from squintsim.txrx import _sc_folded_response, _sc_transmit, _smooth_length
 from squintsim.wavefront import element_delay_samples
 
@@ -80,6 +80,15 @@ class TestOfdmModulation:
         err = compensated - grid
         evm_db = 10 * np.log10(np.mean(np.abs(err) ** 2) / np.mean(np.abs(grid) ** 2))
         assert evm_db > -40.0
+
+    @pytest.mark.parametrize("oversample", [0, -1])
+    def test_oversample_below_one_rejected(self, oversample):
+        ofdm = OfdmSpec(16, n_ofdm_symbols=2)
+        grid = np.ones((2, 16), dtype=complex)
+        with pytest.raises(ValueError, match="oversample"):
+            ofdm_modulate(grid, ofdm, oversample)
+        with pytest.raises(ValueError, match="oversample"):
+            ofdm_demodulate(ofdm_modulate(grid, ofdm), ofdm, oversample)
 
     def test_dimension_checks(self):
         ofdm = OfdmSpec(16, n_ofdm_symbols=2)
@@ -166,12 +175,6 @@ class TestSingleCarrier:
         b = run_single_carrier(cfg, spec, 30.0)
         assert a.overall_ssir_db == pytest.approx(b.overall_ssir_db, abs=1e-9)
         assert a.overall_evm_db > b.overall_evm_db
-
-    def test_idft_combiner_rejected(self):
-        cfg = ArrayConfig(8, 30 * DEG)
-        spec = SignalSpec(0.2, n_symbols=100, seed=0)
-        with pytest.raises(CombinerRequiresOfdm):
-            run_single_carrier(cfg, spec, 20.0, CombinerSpec.full_idft())
 
     @pytest.mark.parametrize(
         "n, theta, bw, exact_db", [(32, 30, 0.1, 21.453), (64, 45, 0.2, 1.013), (16, 60, 0.05, 36.061)]
